@@ -42,7 +42,7 @@ from .montecarlo import (
     chi_square_gof,
     run_trials,
 )
-from .numerics import QuadratureError, SymMatrix2, bessel_i0, disk_quadrature, eig_sym2, erf
+from .numerics import QuadratureError, SymMatrix2, disk_quadrature, eig_sym2
 from .stochastic import (
     GeoLossPdf,
     HoytParams,
@@ -78,7 +78,6 @@ __all__ = [
     "approx_mean",
     "approx_params",
     "beam_width",
-    "bessel_i0",
     "bound_lower",
     "bound_upper",
     "build_histogram",
@@ -88,7 +87,6 @@ __all__ = [
     "covariance_sigma",
     "disk_quadrature",
     "eig_sym2",
-    "erf",
     "exact_loss",
     "footprint_center",
     "geoloss_pdf",

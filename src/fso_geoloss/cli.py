@@ -370,7 +370,8 @@ def cmd_pdf(cfg: ExperimentConfig):
         "a0": pdf.a0, "k_mean": pdf.k_mean, "beam_width_m": pdf.w,
         "hoyt_q": pdf.hoyt.q, "hoyt_omega": pdf.hoyt.omega, "varpi": pdf.varpi,
         "mean_db": stats.mean_db, "underflow": hist.underflow,
-        "overflow": hist.overflow, "degenerate_trials": stats.degenerate_trials,
+        "overflow": hist.overflow, "above_support": int((samples > pdf.a0).sum()),
+        "degenerate_trials": stats.degenerate_trials,
     }
     return PDF_COLUMNS, rows, meta
 

@@ -14,16 +14,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from . import beam as beam_mod
 from . import geometry
 from .beam import BeamParams, ellipse_params, intensity_on_pd
 from .geometry import Pose, footprint_center
-from .numerics import disk_quadrature, erf
+from .numerics import disk_quadrature
 
 DEFAULT_REL_TOL = 1e-9
-
-_erf_vec = np.vectorize(erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,8 @@ def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
     w = beam_mod.beam_width(b, np.sqrt(rx * rx + ry * ry + rz * rz))
     nu_min = _nu(d.a, w, rho_min)
     nu_max = _nu(d.a, w, rho_max)
-    erf_min = _erf_vec(nu_min)
-    erf_max = _erf_vec(nu_max)
+    erf_min = erf(nu_min)
+    erf_max = erf(nu_max)
     k_mean = 0.5 * (_k(rho_min, nu_min, erf_min) + _k(rho_max, nu_max, erf_max))
     u2 = fy * fy + fz * fz
     return erf_min * erf_max * np.exp(-2.0 * u2 / (k_mean * w * w))

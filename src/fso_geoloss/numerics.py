@@ -1,8 +1,9 @@
-"""Special functions, disk quadrature, and a 2x2 symmetric eigensolver.
+"""Disk quadrature and a 2x2 symmetric eigensolver.
 
-Everything here is pure and deterministic: identical inputs give
-bit-identical outputs, so results are reproducible across runs and across
-any parallel evaluation order.
+The model's special functions (erf, the scaled Bessel function i0e) come
+from `scipy.special`.  Everything here is pure and deterministic: identical
+inputs give bit-identical outputs, so results are reproducible across runs
+and across any parallel evaluation order.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-_SQRT_PI = math.sqrt(math.pi)
-_LOG_MAX = 709.782712893384  # log(DBL_MAX)
 
 
 class QuadratureError(RuntimeError):
@@ -42,87 +40,6 @@ class SymMatrix2:
 
     def is_psd(self, tol: float = 0.0) -> bool:
         return self.a11 >= -tol and self.a22 >= -tol and self.det() >= -tol
-
-
-def erf(x: float) -> float:
-    """Error function, library-free, relative error below 1e-12.
-
-    Maclaurin series for |x| <= 3; beyond that the complement is evaluated
-    with the standard continued fraction and subtracted from 1.
-    """
-    if x != x:
-        return x
-    ax = abs(x)
-    if ax <= 3.0:
-        # sum (-1)^n x^(2n+1) / (n! (2n+1)), scaled by 2/sqrt(pi)
-        term = ax
-        total = ax
-        n = 0
-        x2 = ax * ax
-        while True:
-            n += 1
-            term *= -x2 / n
-            contrib = term / (2 * n + 1)
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total) + 5e-324:
-                break
-        val = 2.0 / _SQRT_PI * total
-    else:
-        val = 1.0 - _erfc_cf(ax)
-    return -val if x < 0 else val
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated bottom-up with enough levels for x >= 3
-    levels = 60
-    cf = 0.0
-    for n in range(levels, 0, -1):
-        cf = (n / 2.0) / (x + cf)
-    return math.exp(-x * x) / _SQRT_PI / (x + cf)
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0, relative error below 1e-10.
-
-    Power series for |x| <= 15, asymptotic expansion beyond.  Raises
-    OverflowError once I0(x) itself exceeds the double range (|x| ~ 713).
-    """
-    r = _log_bessel_i0(x)
-    if r > _LOG_MAX:
-        raise OverflowError(f"bessel_i0 overflows for x={x!r}")
-    return math.exp(r)
-
-
-def _log_bessel_i0(x: float) -> float:
-    """log(I0(x)); never overflows for finite x."""
-    ax = abs(x)
-    if ax <= 15.0:
-        q = ax * ax / 4.0
-        term = 1.0
-        total = 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            total += term
-            if term < 1e-18 * total:
-                break
-        return math.log(total)
-    # I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k prod_j (2j-1)^2 / (k! (8x)^k)
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * ax)
-        if nxt >= term:  # past the optimal truncation point
-            break
-        term = nxt
-        total += term
-        if term < 1e-18 * total:
-            break
-    return ax + math.log(total) - 0.5 * math.log(2.0 * math.pi * ax)
 
 
 @lru_cache(maxsize=32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
+from scipy.special import i0e, ndtri
 
 from . import geoloss as geoloss_mod
 from .beam import BeamParams
@@ -28,7 +28,7 @@ from .geometry import (
     tracking_orientation,
 )
 from .geoloss import DetectorParams
-from .numerics import SymMatrix2, _log_bessel_i0, eig_sym2
+from .numerics import SymMatrix2, eig_sym2
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,11 +197,13 @@ def pdf_hg(x: float, p: GeoLossPdf) -> float:
         return 0.0
     q, varpi = p.hoyt.q, p.varpi
     log_ratio = math.log(x / p.a0)
+    # log I0(z) = z + log i0e(z); folding z into the power, whose exponent
+    # becomes q*varpi - 1, leaves no two large terms to cancel
     bessel_arg = -(1.0 - q * q) * varpi / (2.0 * q) * log_ratio
     log_pdf = (
         math.log(varpi / p.a0)
-        + ((1.0 + q * q) * varpi / (2.0 * q) - 1.0) * log_ratio
-        + _log_bessel_i0(bessel_arg)
+        + (q * varpi - 1.0) * log_ratio
+        + math.log(i0e(bessel_arg))
     )
     if log_pdf < -745.0:
         return 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fso_geoloss import cli
+from fso_geoloss import montecarlo as mc
 from fso_geoloss.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -185,6 +186,20 @@ class TestCmdPdf:
         widths = [r[1] - r[0] for r in rows]
         emp = sum(w * r[3] for w, r in zip(widths, rows))
         assert emp == pytest.approx(1.0, rel=1e-9)
+
+    def test_counts_samples_above_support(self):
+        # at 0.1 mrad about 1.2% of exact-kernel samples exceed the
+        # closed-form endpoint a0; the histogram spans the samples, so
+        # `overflow` cannot show them
+        cfg = load_config(None, sigma_o_rad=1e-4, n_trials=2000, seed=7)
+        _c, _r, meta = cmd_pdf(cfg)
+        plan = mc.TrialPlan(n_trials=cfg.n_trials, seed=cfg.seed,
+                            distribution=cfg.distribution(), beam=cfg.beam(),
+                            detector=cfg.detector(), loss_kernel="exact",
+                            rel_tol=cfg.rel_tol)
+        samples, _stats = mc.run_trials(plan)
+        assert meta["above_support"] == int((samples > meta["a0"]).sum())
+        assert meta["above_support"] > 0
 
     def test_oblique_geometry_shrinks_support_endpoint(self):
         ortho = load_config(None, sigma_o_rad=1e-4, n_trials=200, seed=3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fso_geoloss.beam import BeamParams
@@ -223,6 +225,25 @@ class TestPdfHg:
         pdf = synthetic_pdf(0.3, 0.5)
         for frac in np.geomspace(1e-12, 1.0, 40):
             assert pdf_hg(float(frac * pdf.a0), pdf) >= 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(q=st.floats(0.05, 1.0), varpi=st.floats(0.1, 50.0),
+           log10_ratio=st.floats(-299.0, 0.0))
+    def test_matches_high_precision_density(self, q, varpi, log10_ratio):
+        # The Bessel argument z reaches ~1.6e5 here, far past the |z| ~ 713
+        # where I0(z) alone overflows a double.
+        mp = pytest.importorskip("mpmath")
+        pdf = synthetic_pdf(q, varpi)
+        x = pdf.a0 * 10.0**log10_ratio
+        with mp.workdps(40):
+            mq, mv = mp.mpf(q), mp.mpf(varpi)
+            ratio = mp.mpf(x) / mp.mpf(pdf.a0)
+            c = (1 + mq * mq) * mv / (2 * mq)
+            z = -(1 - mq * mq) * mv / (2 * mq) * mp.log(ratio)
+            ref = mv / mp.mpf(pdf.a0) * ratio ** (c - 1) * mp.besseli(0, z)
+            if not 1e-300 <= ref <= 1e300:
+                return
+            assert float(abs(mp.mpf(pdf_hg(x, pdf)) / ref - 1)) <= 1e-12
 
 
 class TestPdfRayleigh:
