@@ -41,6 +41,7 @@ from .montecarlo import (
     build_histogram,
     chi_square_gof,
     run_trials,
+    sample_pose,
 )
 from .numerics import QuadratureError, SymMatrix2, disk_quadrature, eig_sym2
 from .stochastic import (
@@ -52,7 +53,6 @@ from .stochastic import (
     hoyt_params,
     pdf_hg,
     pdf_hg_rayleigh,
-    sample_pose,
 )
 
 __all__ = [

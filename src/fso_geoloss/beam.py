@@ -104,16 +104,14 @@ def ellipse_coefficients(theta, phi):
     return rho_y, rho_z, rho_yz
 
 
-def ellipse_axes(rho_y, rho_z, rho_yz, det=None):
+def ellipse_axes(rho_y, rho_z, rho_yz, det):
     """Inverse axis coefficients (rho_min, rho_max) of the contour ellipse.
 
-    rho_max is formed from the quadratic-form determinant, which callers
-    should supply as sin^2(phi)*cos^2(theta) (the cancellation-free form of
+    rho_max is formed from the quadratic-form determinant `det`, which
+    callers supply as sin^2(phi)*cos^2(theta) (the cancellation-free form of
     rho_y*rho_z - rho_yz^2) to stay accurate at grazing incidence.
     """
     spread = np.hypot(rho_y - rho_z, 2.0 * rho_yz)
-    if det is None:
-        det = rho_y * rho_z - rho_yz * rho_yz
     rho_min = 2.0 / (rho_y + rho_z + spread)
     rho_max = (rho_y + rho_z + spread) / (2.0 * det)
     return rho_min, rho_max

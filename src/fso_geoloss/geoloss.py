@@ -43,7 +43,8 @@ class ApproxParams:
     a0 is the captured fraction for a centered footprint, k_min/k_max/k_mean
     the effective width scalings, nu_min/nu_max the corresponding erf
     arguments, u the footprint offset and w the beam width at the link
-    distance.
+    distance.  A k is +inf when its nu is so large (>~ 27) that exp(-nu^2)
+    underflows; the kernels then return exactly a0, their limit there.
     """
 
     a0: float
@@ -112,7 +113,9 @@ def _nu(a: float, w, rho):
 
 
 def _k(rho, nu, erf_nu):
-    return math.sqrt(math.pi) * rho * erf_nu / (2.0 * nu * np.exp(-nu * nu))
+    # exp(-nu^2) underflows to 0 for nu >~ 27, where k = inf is the right limit
+    with np.errstate(divide="ignore"):
+        return math.sqrt(math.pi) * rho * erf_nu / (2.0 * nu * np.exp(-nu * nu))
 
 
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:

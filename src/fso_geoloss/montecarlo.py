@@ -3,8 +3,9 @@
 Trial i draws its pose from the counter-based substream (seed, i), so the
 sample array is a pure function of the plan: evaluation order, chunking
 into worker threads, and the thread count never change a single bit of the
-output.  Losses are written into a preallocated array by trial index and
-all statistics are computed from that array with numpy's pairwise sums.
+output; `sample_pose(d, seed, i)` regenerates trial i on its own.  Losses
+are written into a preallocated array by trial index and all statistics
+are computed from that array with numpy's pairwise sums.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from scipy.stats import chi2 as _chi2_dist
 
 from . import geoloss as geoloss_mod
 from .beam import BeamParams
+from .geometry import Orientation, Pose, Position
 from .geoloss import DetectorParams
 from .numerics import QuadratureError
 from .stochastic import (
-    CounterStream,
     GeoLossPdf,
     PoseDistribution,
     gaussian_from_uniforms,
@@ -42,6 +43,12 @@ CHUNK = 1024
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 THREADS_ENV = "FSO_GEOLOSS_THREADS"
+
+# Philox raws each trial owns (two 256-bit blocks); its pose uses the first five
+RAWS_PER_TRIAL = 8
+
+# chi-square cells are merged until each expects at least this many counts
+MIN_EXPECTED = 5.0
 
 
 class GofInconclusiveError(RuntimeError):
@@ -97,13 +104,51 @@ def resolve_threads(threads: int | None = None) -> int:
 def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndarray:
     """Pose perturbations for trials [start, start+count), shape (count, 5).
 
-    Regenerates exactly what per-trial CounterStream draws would produce.
+    Trial i owns raw draws [RAWS_PER_TRIAL*i, RAWS_PER_TRIAL*(i+1)) of the
+    Philox sequence keyed by `seed`, so its row does not depend on `start`
+    or `count`.
     """
-    per = CounterStream.RAWS_PER_TRIAL
+    if start < 0:
+        raise ValueError(f"trial index must be non-negative, got {start!r}")
     bg = Philox(key=seed)
-    bg.advance(start * (per // 4))
-    raw = bg.random_raw(count * per).reshape(count, per)[:, :5]
+    # advance() counts 256-bit blocks (4 raws each)
+    bg.advance(start * (RAWS_PER_TRIAL // 4))
+    raw = bg.random_raw(count * RAWS_PER_TRIAL).reshape(count, RAWS_PER_TRIAL)[:, :5]
     return gaussian_from_uniforms(raw_to_open_uniform(raw), sigmas)
+
+
+def sample_pose(d: PoseDistribution, seed: int, index: int) -> Pose:
+    """The pose of trial `index` under `seed`, as `run_trials` draws it.
+
+    `Orientation` wraps theta into [0, 2*pi) and raises ValueError for a
+    phi perturbed out of (0, pi) (vanishingly unlikely at mrad-scale jitter).
+    """
+    eps = _chunk_eps(seed, index, 1, d.sigmas())[0]
+    return Pose(
+        Position(d.mu_r.rx + eps[0], d.mu_r.ry + eps[1], d.mu_r.rz + eps[2]),
+        Orientation(d.mu_omega.theta + eps[3], d.mu_omega.phi + eps[4]),
+    )
+
+
+def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams,
+                         n: int = 1000, seed: int = 0) -> dict:
+    """Coefficients of variation of A0, k_mean, and u under pose sampling.
+
+    Diagnoses the freeze of A0/k_mean at the mean pose: their spread should
+    be orders of magnitude below the spread of the offset u.
+    """
+    stats: dict[str, list[float]] = {"a0": [], "k_mean": [], "u": []}
+    for i in range(n):
+        ap = geoloss_mod.approx_params(sample_pose(d, seed, i), b, det)
+        stats["a0"].append(ap.a0)
+        stats["k_mean"].append(ap.k_mean)
+        stats["u"].append(ap.u)
+    out = {}
+    for name, vals in stats.items():
+        arr = np.asarray(vals)
+        mean = float(arr.mean())
+        out[f"cv_{name}"] = float(arr.std() / mean) if mean else math.inf
+    return out
 
 
 def _chunk_losses(plan: TrialPlan, start: int, count: int):
@@ -118,16 +163,11 @@ def _chunk_losses(plan: TrialPlan, start: int, count: int):
 
     ok = (
         (phi > 0.0) & (phi < math.pi)
-        & (np.abs(np.cos(theta)) >= 1e-12)
-        & (np.abs(np.sin(phi)) >= 1e-12)
         & (np.abs(np.sin(phi) * np.cos(theta)) >= 1e-12)
         & (rx != 0.0)
     )
     losses = np.zeros(count)
-    if ok.all():
-        sel = slice(None)
-    else:
-        sel = np.nonzero(ok)[0]
+    sel = np.nonzero(ok)[0]
     try:
         if plan.loss_kernel == "exact":
             vals = geoloss_mod.exact_loss_batch(
@@ -155,24 +195,15 @@ def run_trials(plan: TrialPlan, threads: int | None = None):
     """
     n = plan.n_trials
     samples = np.empty(n)
-    starts = list(range(0, n, CHUNK))
     degenerate = 0
 
     def work(start: int):
-        count = min(CHUNK, n - start)
-        return start, _chunk_losses(plan, start, count)
+        return start, _chunk_losses(plan, start, min(CHUNK, n - start))
 
-    n_threads = resolve_threads(threads)
-    if n_threads == 1 or len(starts) == 1:
-        results = map(work, starts)
-        for start, (losses, bad) in results:
+    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+        for start, (losses, bad) in pool.map(work, range(0, n, CHUNK)):
             samples[start:start + len(losses)] = losses
             degenerate += bad
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for start, (losses, bad) in pool.map(work, starts):
-                samples[start:start + len(losses)] = losses
-                degenerate += bad
 
     return samples, summarize(samples, degenerate)
 
@@ -244,10 +275,10 @@ def _bin_probabilities(h: Histogram, pdf: GeoLossPdf) -> np.ndarray:
     return probs
 
 
-def chi_square_gof(h: Histogram, pdf: GeoLossPdf, min_expected: float = 5.0):
+def chi_square_gof(h: Histogram, pdf: GeoLossPdf):
     """Pearson chi-square of a histogram against the analytic density.
 
-    Tail cells are merged inward until each carries at least `min_expected`
+    Tail cells are merged inward until each carries at least `MIN_EXPECTED`
     expected counts.  Returns (statistic, dof, p_value).
     """
     observed = np.concatenate([[h.underflow], h.counts, [h.overflow]]).astype(float)
@@ -255,13 +286,13 @@ def chi_square_gof(h: Histogram, pdf: GeoLossPdf, min_expected: float = 5.0):
     expected = n * _bin_probabilities(h, pdf)
 
     obs, exp = list(observed), list(expected)
-    while len(exp) > 1 and exp[0] < min_expected:
+    while len(exp) > 1 and exp[0] < MIN_EXPECTED:
         exp[1] += exp[0]; obs[1] += obs[0]
         del exp[0], obs[0]
-    while len(exp) > 1 and exp[-1] < min_expected:
+    while len(exp) > 1 and exp[-1] < MIN_EXPECTED:
         exp[-2] += exp[-1]; obs[-2] += obs[-1]
         del exp[-1], obs[-1]
-    if len(exp) < 2 or min(exp) < min_expected:
+    if len(exp) < 2 or min(exp) < MIN_EXPECTED:
         raise GofInconclusiveError(
             f"{len(exp)} usable cells with min expected count "
             f"{min(exp):.2f}; raise n_trials or widen bins"

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 from scipy.special import i0e, ndtri
 
 from . import geoloss as geoloss_mod
@@ -29,8 +28,6 @@ from .geometry import (
 )
 from .geoloss import DetectorParams
 from .numerics import SymMatrix2, eig_sym2
-
-TWO_PI = 2.0 * math.pi
 
 # perfect tracking must hold to within this footprint distance [m]
 TRACKING_TOL = 1e-9
@@ -221,37 +218,6 @@ def pdf_hg_rayleigh(x: float, rho_param: float, a0: float) -> float:
     return rho_param / a0 * (x / a0) ** (rho_param - 1.0)
 
 
-class CounterStream:
-    """Counter-based uniform substream for one trial.
-
-    Stream (seed, index) owns raw draws [RAWS_PER_TRIAL*index,
-    RAWS_PER_TRIAL*(index+1)) of the keyed Philox sequence, so any trial
-    can be regenerated independently of evaluation order.
-    """
-
-    RAWS_PER_TRIAL = 8  # two 256-bit Philox blocks
-
-    def __init__(self, seed: int, index: int):
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {index!r}")
-        self.seed = seed
-        self.index = index
-        self._bg = Philox(key=seed)
-        # advance() counts 256-bit blocks (4 raws each)
-        self._bg.advance(index * (self.RAWS_PER_TRIAL // 4))
-        self._used = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in the open interval (0, 1)."""
-        if self._used + n > self.RAWS_PER_TRIAL:
-            raise ValueError(
-                f"stream budget exceeded: {self._used}+{n} > {self.RAWS_PER_TRIAL}"
-            )
-        raw = self._bg.random_raw(n)
-        self._used += n
-        return raw_to_open_uniform(raw)
-
-
 def raw_to_open_uniform(raw) -> np.ndarray:
     """Map uint64 draws to doubles strictly inside (0, 1)."""
     return ((np.asarray(raw, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
@@ -261,38 +227,3 @@ def raw_to_open_uniform(raw) -> np.ndarray:
 def gaussian_from_uniforms(u: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Inverse-CDF transform of open-interval uniforms to N(0, sigma^2)."""
     return ndtri(u) * sigmas
-
-
-def sample_pose(d: PoseDistribution, stream: CounterStream) -> Pose:
-    """One pose draw; consumes five uniforms from `stream`.
-
-    theta is wrapped into [0, 2*pi); a phi perturbed out of (0, pi) raises
-    ValueError (vanishingly unlikely at mrad-scale jitter).
-    """
-    eps = gaussian_from_uniforms(stream.uniforms(5), d.sigmas())
-    return Pose(
-        Position(d.mu_r.rx + eps[0], d.mu_r.ry + eps[1], d.mu_r.rz + eps[2]),
-        Orientation((d.mu_omega.theta + eps[3]) % TWO_PI, d.mu_omega.phi + eps[4]),
-    )
-
-
-def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams,
-                         n: int = 1000, seed: int = 0) -> dict:
-    """Coefficients of variation of A0, k_mean, and u under pose sampling.
-
-    Diagnoses the freeze of A0/k_mean at the mean pose: their spread should
-    be orders of magnitude below the spread of the offset u.
-    """
-    stats: dict[str, list[float]] = {"a0": [], "k_mean": [], "u": []}
-    for i in range(n):
-        pose = sample_pose(d, CounterStream(seed, i))
-        ap = geoloss_mod.approx_params(pose, b, det)
-        stats["a0"].append(ap.a0)
-        stats["k_mean"].append(ap.k_mean)
-        stats["u"].append(ap.u)
-    out = {}
-    for name, vals in stats.items():
-        arr = np.asarray(vals)
-        mean = float(arr.mean())
-        out[f"cv_{name}"] = float(arr.std() / mean) if mean else math.inf
-    return out

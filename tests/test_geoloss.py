@@ -136,6 +136,16 @@ class TestApprox:
             low, upp = approx_bounds(ap)
             assert low <= approx_mean(ap) <= upp
 
+    def test_large_nu_gives_infinite_k_and_a0(self):
+        # a = 12 m against w = 0.49 m gives nu = 30.5, where exp(-nu^2)
+        # underflows; k = inf is the limit and the kernels return a0
+        ap = approx_params(tracked_pose(1000.0, 0.0, math.pi / 2, fy=5.0),
+                           BEAM, DetectorParams(12.0))
+        assert ap.nu_min == pytest.approx(30.5, abs=0.1)
+        assert ap.k_min == math.inf
+        assert approx_mean(ap) == ap.a0
+        assert approx_bounds(ap) == (ap.a0, ap.a0)
+
     def test_displaced_orthogonal_value(self):
         # frozen: A0 * exp(-2*0.01/(k*w^2)) at the default link
         ap = approx_params(tracked_pose(1000.0, 0.0, math.pi / 2, fy=0.1), BEAM, DET)

@@ -2,26 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_geoloss.beam import BeamParams
-from fso_geoloss.geometry import Pose
+from fso_geoloss.geometry import Orientation, Pose, Position
 from fso_geoloss.geoloss import DetectorParams, approx_mean, approx_params, exact_loss
 from fso_geoloss.montecarlo import (
     CHUNK,
     GofInconclusiveError,
     TrialPlan,
+    _chunk_eps,
     build_histogram,
     chi_square_gof,
     run_trials,
+    sample_pose,
     sturges_bins,
     summarize,
 )
-from fso_geoloss.stochastic import (
-    CounterStream,
-    PoseDistribution,
-    geoloss_pdf,
-    sample_pose,
-)
+from fso_geoloss.stochastic import PoseDistribution, geoloss_pdf
 
 BEAM = BeamParams(w0=1e-3, wavelength=1550e-9, cn2=1e-14)
 DET = DetectorParams(a=0.1)
@@ -74,7 +73,7 @@ class TestRunTrials:
         samples, _ = run_trials(plan)
         d = plan.distribution
         # trial 13 recomputed through the public per-trial path
-        pose = sample_pose(d, CounterStream(plan.seed, 13))
+        pose = sample_pose(d, plan.seed, 13)
         ref = exact_loss(pose, BEAM, DET)
         assert samples[13] == pytest.approx(ref, rel=1e-9)
 
@@ -97,6 +96,27 @@ class TestRunTrials:
         _, stats = run_trials(plan_for(n=2000, sigma_o=2e-4))
         # Jensen: dB of the mean is below the per-sample dB mean
         assert stats.mean_db <= stats.mean_db_per_sample
+
+
+class TestPoseGenerator:
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 10**6),
+           count=st.integers(1, 64), data=st.data())
+    def test_rows_depend_only_on_trial_index(self, seed, start, count, data):
+        i = data.draw(st.integers(0, count - 1), label="i")
+        m = data.draw(st.integers(1, count - i), label="m")
+        d = plan_for(sigma_p=0.01, sigma_o=1e-4).distribution
+        sig = d.sigmas()
+        full = _chunk_eps(seed, start, count, sig)
+        part = _chunk_eps(seed, start + i, m, sig)
+        assert part.tobytes() == full[i:i + m].tobytes()
+
+        eps = full[i]
+        assert sample_pose(d, seed, start + i) == Pose(
+            Position(d.mu_r.rx + eps[0], d.mu_r.ry + eps[1], d.mu_r.rz + eps[2]),
+            Orientation(d.mu_omega.theta + eps[3], d.mu_omega.phi + eps[4]))
+        with pytest.raises(ValueError):
+            sample_pose(d, seed, -1 - start)
 
 
 class TestSummarize:

@@ -10,8 +10,8 @@ from fso_geoloss.beam import BeamParams
 from fso_geoloss.geometry import Orientation, Pose, Position, footprint_center
 from fso_geoloss.geoloss import DetectorParams, approx_params
 from fso_geoloss.numerics import SymMatrix2
+from fso_geoloss.montecarlo import frozen_params_spread, sample_pose
 from fso_geoloss.stochastic import (
-    CounterStream,
     DegenerateTrackingError,
     GeoLossPdf,
     HoytParams,
@@ -22,7 +22,6 @@ from fso_geoloss.stochastic import (
     linearized_footprint,
     pdf_hg,
     pdf_hg_rayleigh,
-    sample_pose,
     tracking_constants,
 )
 
@@ -288,7 +287,7 @@ class TestGeoLossPdfFactory:
 class TestSamplePose:
     def test_zero_sigma_returns_mean(self):
         d = fig4_distribution(sigma_p=0.0, sigma_o=0.0)
-        p = sample_pose(d, CounterStream(1, 0))
+        p = sample_pose(d, 1, 0)
         assert p.position == d.mu_r
         assert p.orientation.theta == d.mu_omega.theta
         assert p.orientation.phi == d.mu_omega.phi
@@ -299,7 +298,7 @@ class TestSamplePose:
         xs = np.empty(n)
         ths = np.empty(n)
         for i in range(n):
-            p = sample_pose(d, CounterStream(7, i))
+            p = sample_pose(d, 7, i)
             xs[i] = p.position.rx
             ths[i] = p.orientation.theta
         assert abs(xs.mean() - d.mu_r.rx) <= 5 * 0.05 / math.sqrt(n)
@@ -307,17 +306,11 @@ class TestSamplePose:
 
     def test_streams_are_reproducible_and_disjoint(self):
         d = fig4_distribution()
-        a = sample_pose(d, CounterStream(3, 5))
-        b = sample_pose(d, CounterStream(3, 5))
-        c = sample_pose(d, CounterStream(3, 6))
+        a = sample_pose(d, 3, 5)
+        b = sample_pose(d, 3, 5)
+        c = sample_pose(d, 3, 6)
         assert a == b
         assert a != c
-
-    def test_stream_budget_enforced(self):
-        s = CounterStream(0, 0)
-        s.uniforms(5)
-        with pytest.raises(ValueError):
-            s.uniforms(5)
 
     def test_footprint_covariance_through_sampling(self):
         d = fig4_distribution(sigma_p=0.0, sigma_o=1e-4)
@@ -372,8 +365,6 @@ class TestLinearizedFootprint:
 
 class TestFrozenParamsSpread:
     def test_frozen_kernel_inputs_vary_far_less_than_offset(self):
-        from fso_geoloss.stochastic import frozen_params_spread
-
         d = fig4_distribution(sigma_p=0.0, sigma_o=1e-4)
         out = frozen_params_spread(d, BEAM, DET, n=400, seed=3)
         # freezing a0/k_mean at the mean pose is justified: their spread is
