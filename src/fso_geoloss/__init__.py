@@ -48,6 +48,7 @@ from .stochastic import (
     GeoLossPdf,
     HoytParams,
     PoseDistribution,
+    cdf_hg,
     covariance_sigma,
     geoloss_pdf,
     hoyt_params,
@@ -81,6 +82,7 @@ __all__ = [
     "bound_lower",
     "bound_upper",
     "build_histogram",
+    "cdf_hg",
     "channel_coefficient",
     "chi_square_gof",
     "coherence_length",

@@ -236,24 +236,44 @@ def check_closed_form_orthogonal(rel_tol: float) -> CheckResult:
                        f"max rel err {worst:.2e} (tol {tol:.0e})")
 
 
-def check_pdf_normalization(rel_tol: float) -> CheckResult:
-    from scipy.integrate import quad
-
-    worst = 0.0
+def _grid_pdfs():
+    """Synthetic densities over a (q, varpi) grid, a0 and w of the default link."""
     a0, w = 0.0787, 0.4935
     for q in (0.3, 0.7, 1.0):
         for varpi in (0.5, 2.0, 10.0):
             lam1 = 1.0
             lam2 = q * q * lam1
             k_mean = varpi * 4.0 * q * (lam1 + lam2) / ((1.0 + q * q) * w * w)
-            pdf = stochastic.GeoLossPdf(
+            yield stochastic.GeoLossPdf(
                 hoyt=stochastic.HoytParams(q=q, omega=lam1 + lam2,
                                            lambda1=lam1, lambda2=lam2),
                 a0=a0, k_mean=k_mean, w=w, varpi=varpi)
-            val, _ = quad(stochastic.pdf_hg, 0.0, a0, args=(pdf,), limit=300)
-            worst = max(worst, abs(val - 1.0))
+
+
+def check_pdf_normalization(rel_tol: float) -> CheckResult:
+    from scipy.integrate import quad
+
+    worst = 0.0
+    for pdf in _grid_pdfs():
+        val, _ = quad(stochastic.pdf_hg, 0.0, pdf.a0, args=(pdf,), limit=300)
+        worst = max(worst, abs(val - 1.0))
     return CheckResult("pdf_normalization", worst <= 1e-6,
                        f"max |integral - 1| = {worst:.2e} (tol 1e-6)")
+
+
+def check_cdf_matches_density(rel_tol: float) -> CheckResult:
+    from scipy.integrate import quad
+
+    worst = 0.0
+    for pdf in _grid_pdfs():
+        for frac in (0.01, 0.1, 0.5, 0.9):
+            x = frac * pdf.a0
+            # 1 - mass above x: quad over (0, x) does not converge on the
+            # x**(q*varpi - 1) singularity at 0 for q*varpi = 0.15
+            upper, _ = quad(stochastic.pdf_hg, x, pdf.a0, args=(pdf,), limit=300)
+            worst = max(worst, abs(float(stochastic.cdf_hg(x, pdf)) - (1.0 - upper)))
+    return CheckResult("cdf_matches_density", worst <= 1e-6,
+                       f"max |cdf - integral of pdf| = {worst:.2e} (tol 1e-6)")
 
 
 def check_rayleigh_reduction(rel_tol: float) -> CheckResult:
@@ -354,6 +374,7 @@ ALL_CHECKS = (
     check_orthogonal_collapse,
     check_closed_form_orthogonal,
     check_pdf_normalization,
+    check_cdf_matches_density,
     check_rayleigh_reduction,
     check_linearization_convergence,
     check_approx_bracket,

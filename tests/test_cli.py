@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -302,3 +305,15 @@ class TestValidateMutationDetection:
                         Orientation(-math.pi / 8, 5 * math.pi / 8))
         assert exact_loss(pose, beam, det) == pytest.approx(
             exact_loss(mirrored, beam, det), rel=1e-9)
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_stats_nor_integrate(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, fso_geoloss.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"

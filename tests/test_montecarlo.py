@@ -12,6 +12,7 @@ from fso_geoloss.montecarlo import (
     CHUNK,
     GofInconclusiveError,
     TrialPlan,
+    _bin_probabilities,
     _chunk_eps,
     build_histogram,
     chi_square_gof,
@@ -215,6 +216,50 @@ class TestChiSquareGof:
         stat, dof, p = chi_square_gof(h, pdf)
         assert dof >= 2
         assert 0.0 <= p <= 1.0
+
+
+    def test_p_value_is_the_chi2_survival_function(self, pdf):
+        from scipy.special import chdtrc
+        from scipy.stats import chi2
+
+        stats = np.geomspace(1e-3, 300.0, 300)
+        for dof in range(1, 60):
+            assert np.array_equal(chdtrc(dof, stats), chi2.sf(stats, dof))
+        samples = model_sampler(pdf, np.random.default_rng(4), 4000)
+        stat, dof, p = chi_square_gof(build_histogram(samples, 12), pdf)
+        assert p == chi2.sf(stat, dof)
+
+
+def fig4_gof_inputs(sigma_o):
+    """Sturges histogram of 20k closed-form-kernel losses at the Fig-4
+    geometry (alpha = pi/8, beta = 5pi/8, 1 km, seed 1) and its density."""
+    plan = plan_for(sigma_o=sigma_o, n=20_000, seed=1, kernel="approx_mean",
+                    alpha=math.pi / 8, beta=5 * math.pi / 8)
+    samples, _stats = run_trials(plan)
+    return (build_histogram(samples, sturges_bins(len(samples))),
+            geoloss_pdf(plan.distribution, BEAM, DET))
+
+
+class TestFig4Gof:
+    def test_converges_at_largest_sigma(self):
+        # per-bin adaptive quadrature of the density raised IntegrationWarning
+        # here: the lowest edge sits at 7e-72 a0
+        h, pdf = fig4_gof_inputs(1e-3)
+        stat, dof, p = chi_square_gof(h, pdf)
+        assert math.isfinite(stat) and dof >= 2
+        assert 0.0 <= p <= 1.0
+
+    def test_bin_probabilities_match_high_precision_cdf(self, cdf_reference):
+        # per-bin quadrature was off by up to 5.3e-5 here before renormalizing
+        h, pdf = fig4_gof_inputs(5e-4)
+        probs = _bin_probabilities(h, pdf)
+        cdf = [cdf_reference(x, pdf)
+               for x in np.concatenate([[0.0], np.clip(h.edges, 0.0, pdf.a0), [pdf.a0]])]
+        ref = [hi - lo for lo, hi in zip(cdf, cdf[1:])]
+        assert len(probs) == len(ref) == len(h.counts) + 2
+        assert all(r > 0 for r in ref)
+        for got, want in zip(probs, ref):
+            assert float(abs(got / want - 1)) <= 1e-11
 
 
 class TestFig4Point:

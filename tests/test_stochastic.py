@@ -16,6 +16,7 @@ from fso_geoloss.stochastic import (
     GeoLossPdf,
     HoytParams,
     PoseDistribution,
+    cdf_hg,
     covariance_sigma,
     geoloss_pdf,
     hoyt_params,
@@ -243,6 +244,58 @@ class TestPdfHg:
             if not 1e-300 <= ref <= 1e300:
                 return
             assert float(abs(mp.mpf(pdf_hg(x, pdf)) / ref - 1)) <= 1e-12
+
+
+class TestCdfHg:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(q=st.floats(0.05, 1.0), varpi=st.floats(0.1, 50.0),
+           log10_ratio=st.floats(-299.0, 0.0))
+    def test_matches_high_precision_cdf(self, cdf_reference, q, varpi, log10_ratio):
+        pdf = synthetic_pdf(q, varpi)
+        x = pdf.a0 * 10.0**log10_ratio
+        f = cdf_hg(x, pdf)
+        # F <= (x/a0)**(q*varpi), so the reference is below 1e-300 here
+        if q * varpi * -log10_ratio > 300.0:
+            assert 0.0 <= f <= 1e-300
+            return
+        ref = cdf_reference(x, pdf)
+        if ref >= 1e-300:
+            assert float(abs(f / ref - 1)) <= 1e-12
+
+    def test_support_edges_and_monotone(self):
+        for q, varpi in ((0.05, 0.1), (0.3, 2.0), (0.8, 50.0), (1.0, 6.0)):
+            pdf = synthetic_pdf(q, varpi)
+            a0 = pdf.a0
+            assert cdf_hg(0.0, pdf) == 0.0
+            assert cdf_hg(-a0, pdf) == 0.0
+            assert cdf_hg(a0, pdf) == 1.0
+            assert np.all(cdf_hg([a0 * 1.0000001, 2 * a0, np.inf], pdf) == 1.0)
+            f = cdf_hg(np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 400) * a0]), pdf)
+            assert np.all(np.diff(f) >= 0.0)
+            assert np.all((f >= 0.0) & (f <= 1.0))
+
+    def test_rayleigh_limit(self):
+        for varpi in (0.1, 0.5, 6.355, 50.0):
+            pdf = synthetic_pdf(1.0, varpi)
+            x = np.geomspace(1e-6, 1.0, 50) * pdf.a0
+            np.testing.assert_allclose(cdf_hg(x, pdf), (x / pdf.a0) ** varpi,
+                                       rtol=1e-13, atol=0.0)
+
+    def test_central_difference_is_the_density(self):
+        for q, varpi in ((0.1, 0.5), (0.3, 2.0), (0.7, 10.0), (0.95, 40.0)):
+            pdf = synthetic_pdf(q, varpi)
+            h = 1e-6 * pdf.a0
+            for frac in (0.05, 0.3, 0.6, 0.9):
+                x = frac * pdf.a0
+                slope = (cdf_hg(x + h, pdf) - cdf_hg(x - h, pdf)) / (2 * h)
+                assert slope == pytest.approx(pdf_hg(x, pdf), rel=1e-6)
+
+    def test_value_does_not_depend_on_the_other_points(self):
+        pdf = synthetic_pdf(0.2, 30.0)
+        x = np.geomspace(1e-12, 1.0, 7) * pdf.a0
+        together = cdf_hg(x, pdf)
+        assert np.array_equal(together, [cdf_hg(v, pdf) for v in x])
+        assert cdf_hg(x.reshape(7, 1), pdf).shape == (7, 1)
 
 
 class TestPdfRayleigh:
