@@ -138,6 +138,18 @@ def ellipse_params(o: Orientation) -> EllipseParams:
     )
 
 
+def check_far_field(distance: float, reach: float) -> None:
+    """Warn, on behalf of the caller's caller, when the source `distance`
+    does not dominate `reach`, the larger of the footprint offset and the
+    detector or evaluation radius."""
+    if distance < VALIDITY_FACTOR * reach:
+        warnings.warn(
+            f"far-field assumption is marginal: source distance {distance:.3g} m "
+            f"vs footprint/detector reach {reach:.3g} m",
+            stacklevel=3,
+        )
+
+
 def intensity_on_pd(point, p: Pose, b: BeamParams):
     """Power density at detector-plane point(s) (y, z) for pose `p`.
 
@@ -150,13 +162,7 @@ def intensity_on_pd(point, p: Pose, b: BeamParams):
     f = footprint_center(p)
     psi = incidence_angle(p.orientation)
     distance = p.position.norm()
-    reach = max(f.offset(), float(np.max(np.hypot(y, z))))
-    if distance < VALIDITY_FACTOR * reach:
-        warnings.warn(
-            f"far-field assumption is marginal: source distance {distance:.3g} m "
-            f"vs footprint/evaluation reach {reach:.3g} m",
-            stacklevel=2,
-        )
+    check_far_field(distance, max(f.offset(), float(np.max(np.hypot(y, z)))))
     rho_y, rho_z, rho_yz = ellipse_coefficients(p.orientation.theta, p.orientation.phi)
     w2 = beam_width(b, distance) ** 2
     yt = np.asarray(y, dtype=float) - f.fy

@@ -2,15 +2,15 @@
 
 `exact_loss` integrates the projected beam intensity over the circular
 detector.  The rotated-ellipse bounds replace the tilted intensity contour
-by best/worst aligned ellipses with the same axis coefficients, and the
-closed-form approximations collapse those bound integrals into
-A0 * exp(-2 u^2 / (k w^2)) kernels.
+by best/worst aligned ellipses with the same axis coefficients; they and
+both exact kernels integrate one Gaussian quadratic form, `_capture`.  The
+closed-form approximations collapse the bound integrals into
+A0 * exp(-2 u^2 / (k w^2)) kernels, computed once in `_approx`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,11 @@ from scipy.special import erf
 
 from . import beam as beam_mod
 from . import geometry
-from .beam import BeamParams, ellipse_params, intensity_on_pd
+from .beam import (
+    BeamParams,
+    ellipse_params,
+    intensity_on_pd,  # unused here; perfbench's tracing.TARGETS hooks geoloss.intensity_on_pd
+)
 from .geometry import Pose, footprint_center
 from .numerics import disk_quadrature
 
@@ -71,51 +75,75 @@ class ChannelInputs:
             raise ValueError(f"invalid channel inputs: {self}")
 
 
+def _capture(pref, c_y, c_z, c_yz, fy, fz, a: float, rel_tol: float):
+    """pref * exp(-(c_y yt^2 + c_z zt^2 + c_yz yt zt)), (yt, zt) = (y - fy,
+    z - fz), integrated over the radius-`a` disk and clipped to [0, 1]: one
+    float for float coefficients, n losses for (n, 1) columns."""
+
+    def integrand(y, z):
+        yt = y - fy
+        zt = z - fz
+        return pref * np.exp(-(c_y * yt * yt + c_z * zt * zt + c_yz * yt * zt))
+
+    est = disk_quadrature(integrand, a, rel_tol)
+    if isinstance(est, float):
+        return min(max(est, 0.0), 1.0)
+    return np.clip(est, 0.0, 1.0)
+
+
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,
                rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Fraction of transmitted power captured by the detector."""
-    est = disk_quadrature(lambda y, z: intensity_on_pd((y, z), p, b), d.a, rel_tol)
-    return min(max(float(est), 0.0), 1.0)
+    ep = ellipse_params(p.orientation)
+    f = footprint_center(p)
+    distance = p.position.norm()
+    beam_mod.check_far_field(distance, max(f.offset(), d.a))
+    w2 = beam_mod.beam_width(b, distance) ** 2
+    return _capture(2.0 * math.sin(ep.psi) / (math.pi * w2), 2.0 * ep.rho_y / w2,
+                    2.0 * ep.rho_z / w2, 4.0 * ep.rho_yz / w2, f.fy, f.fz, d.a, rel_tol)
 
 
 def _bound(p: Pose, b: BeamParams, d: DetectorParams, rel_tol: float,
-           rho_along: float, rho_across: float) -> float:
-    """Loss for an axis-aligned contour ellipse displaced by u along the
-    first axis; rho_along/rho_across are the inverse axis coefficients."""
+           upper: bool) -> float:
+    """Loss for the contour ellipse turned so that its major axis lies along
+    (upper) or across (lower) the offset direction, the offset on y."""
     ep = ellipse_params(p.orientation)
-    u = footprint_center(p).offset()
+    rho_along, rho_across = (ep.rho_max, ep.rho_min) if upper else (ep.rho_min, ep.rho_max)
     w2 = beam_mod.beam_width(b, p.position.norm()) ** 2
-    pref = 2.0 * math.sin(ep.psi) / (math.pi * w2)
-
-    def integrand(y, z):
-        return pref * np.exp(-2.0 / w2 * ((y - u) ** 2 / rho_along + z**2 / rho_across))
-
-    est = disk_quadrature(integrand, d.a, rel_tol)
-    return min(max(float(est), 0.0), 1.0)
+    return _capture(2.0 * math.sin(ep.psi) / (math.pi * w2), 2.0 / (w2 * rho_along),
+                    2.0 / (w2 * rho_across), 0.0, footprint_center(p).offset(), 0.0,
+                    d.a, rel_tol)
 
 
 def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
                 rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Lower bound: contour major axis perpendicular to the offset direction."""
-    ep = ellipse_params(p.orientation)
-    return _bound(p, b, d, rel_tol, ep.rho_min, ep.rho_max)
+    """Contour major axis across the offset: `exact_loss` at the un-rotated
+    pose theta = 0, phi = psi placed at (t sin psi, u, t cos psi), with
+    t = sqrt(L^2 - u^2) for p's incidence angle psi, distance L and offset
+    u.  Not ordered against `bound_upper` once a is comparable to w (they
+    cross at a = 0.6 m, w = 0.49 m)."""
+    return _bound(p, b, d, rel_tol, upper=False)
 
 
 def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
                 rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Upper bound: contour major axis along the offset direction."""
-    ep = ellipse_params(p.orientation)
-    return _bound(p, b, d, rel_tol, ep.rho_max, ep.rho_min)
+    """Contour major axis along the offset: `exact_loss` at theta = 0,
+    phi = psi placed at (t' sin psi, 0, u + t' cos psi), with
+    t' = -u cos psi + sqrt(L^2 - u^2 sin^2 psi).  Ordered as a bound only
+    while a is small against w; see `bound_lower`."""
+    return _bound(p, b, d, rel_tol, upper=True)
 
 
-def _nu(a: float, w, rho):
-    return a / w * np.sqrt(math.pi / (2.0 * rho))
-
-
-def _k(rho, nu, erf_nu):
+def _approx(a: float, w, rho_min, rho_max):
+    """Closed-form (a0, k_min, k_max, nu_min, nu_max) for floats or arrays."""
+    nu_min = a / w * np.sqrt(math.pi / (2.0 * rho_min))
+    nu_max = a / w * np.sqrt(math.pi / (2.0 * rho_max))
+    erf_min, erf_max = erf(nu_min), erf(nu_max)
     # exp(-nu^2) underflows to 0 for nu >~ 27, where k = inf is the right limit
     with np.errstate(divide="ignore"):
-        return math.sqrt(math.pi) * rho * erf_nu / (2.0 * nu * np.exp(-nu * nu))
+        k_min = math.sqrt(math.pi) * rho_min * erf_min / (2.0 * nu_min * np.exp(-nu_min * nu_min))
+        k_max = math.sqrt(math.pi) * rho_max * erf_max / (2.0 * nu_max * np.exp(-nu_max * nu_max))
+    return erf_min * erf_max, k_min, k_max, nu_min, nu_max
 
 
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
@@ -123,22 +151,8 @@ def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     ep = ellipse_params(p.orientation)
     u = footprint_center(p).offset()
     w = beam_mod.beam_width(b, p.position.norm())
-    nu_min = _nu(d.a, w, ep.rho_min)
-    nu_max = _nu(d.a, w, ep.rho_max)
-    erf_min = erf(nu_min)
-    erf_max = erf(nu_max)
-    k_min = _k(ep.rho_min, nu_min, erf_min)
-    k_max = _k(ep.rho_max, nu_max, erf_max)
-    return ApproxParams(
-        a0=float(erf_min * erf_max),
-        k_min=float(k_min),
-        k_max=float(k_max),
-        k_mean=float(0.5 * (k_min + k_max)),
-        nu_min=float(nu_min),
-        nu_max=float(nu_max),
-        u=u,
-        w=w,
-    )
+    a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, w, ep.rho_min, ep.rho_max))
+    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max, u, w)
 
 
 def approx_bounds(ap: ApproxParams) -> tuple[float, float]:
@@ -182,30 +196,14 @@ def exact_loss_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
     fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
     rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
-    sin_psi = np.abs(np.sin(phi) * np.cos(theta))
     dist = np.sqrt(rx * rx + ry * ry + rz * rz)
     w2 = beam_mod.beam_width(b, dist) ** 2
-    pref = sin_psi * 2.0 / (math.pi * w2)
-    reach = max(float(np.max(np.hypot(fy, fz))), d.a)
-    if float(np.min(dist)) < beam_mod.VALIDITY_FACTOR * reach:
-        warnings.warn(
-            f"far-field assumption is marginal for some trials: min distance "
-            f"{float(np.min(dist)):.3g} m vs reach {reach:.3g} m",
-            stacklevel=2,
-        )
-
-    c_y = (rho_y * 2.0 / w2)[:, None]
-    c_z = (rho_z * 2.0 / w2)[:, None]
-    c_yz = (rho_yz * 4.0 / w2)[:, None]
-    fy_c, fz_c = fy[:, None], fz[:, None]
-
-    def integrand(y, z):
-        yt = y[None, :] - fy_c
-        zt = z[None, :] - fz_c
-        return pref[:, None] * np.exp(-(c_y * yt * yt + c_z * zt * zt + c_yz * yt * zt))
-
-    est = disk_quadrature(integrand, d.a, rel_tol)
-    return np.clip(est, 0.0, 1.0)
+    pref = np.abs(np.sin(phi) * np.cos(theta)) * 2.0 / (math.pi * w2)
+    # initial= lets a chunk of only degenerate trials pass an empty batch
+    reach = max(float(np.max(np.hypot(fy, fz), initial=0.0)), d.a)
+    beam_mod.check_far_field(float(np.min(dist, initial=math.inf)), reach)
+    return _capture(pref[:, None], (rho_y * 2.0 / w2)[:, None], (rho_z * 2.0 / w2)[:, None],
+                    (rho_yz * 4.0 / w2)[:, None], fy[:, None], fz[:, None], d.a, rel_tol)
 
 
 def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
@@ -218,10 +216,6 @@ def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
     det = (np.sin(phi) * np.cos(theta)) ** 2
     rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, det)
     w = beam_mod.beam_width(b, np.sqrt(rx * rx + ry * ry + rz * rz))
-    nu_min = _nu(d.a, w, rho_min)
-    nu_max = _nu(d.a, w, rho_max)
-    erf_min = erf(nu_min)
-    erf_max = erf(nu_max)
-    k_mean = 0.5 * (_k(rho_min, nu_min, erf_min) + _k(rho_max, nu_max, erf_max))
+    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, w, rho_min, rho_max)
     u2 = fy * fy + fz * fz
-    return erf_min * erf_max * np.exp(-2.0 * u2 / (k_mean * w * w))
+    return a0 * np.exp(-2.0 * u2 / (0.5 * (k_min + k_max) * w * w))

@@ -1,10 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fso_geoloss.beam import BeamParams, beam_width
-from fso_geoloss.geometry import Orientation, Pose, Position, spherical_mean_position, tracking_orientation
+from fso_geoloss.geometry import (
+    DegenerateGeometryError,
+    Orientation,
+    Pose,
+    Position,
+    footprint_center,
+    incidence_angle,
+    spherical_mean_position,
+    tracking_orientation,
+)
 from fso_geoloss.geoloss import (
     ApproxParams,
     ChannelInputs,
@@ -29,6 +39,13 @@ def tracked_pose(radius, alpha, beta, fy=0.0, fz=0.0):
     mu = spherical_mean_position(radius, alpha, beta)
     orient = tracking_orientation(mu)
     return Pose(Position(mu.rx, mu.ry + fy, mu.rz + fz), orient)
+
+
+def pose_arrays(poses):
+    """(rx, ry, rz, theta, phi) arrays for the batch kernels."""
+    return tuple(np.array(v) for v in zip(*(
+        (p.position.rx, p.position.ry, p.position.rz, p.orientation.theta, p.orientation.phi)
+        for p in poses)))
 
 
 class TestExactLoss:
@@ -59,6 +76,26 @@ class TestExactLoss:
         for u in (0.0, 0.1, 0.25, 0.6):
             v = exact_loss(tracked_pose(1000.0, 0.2, 1.4, fy=u), BEAM, DET)
             assert 0.0 <= v <= 1.0
+
+    def test_grazing_incidence_raises(self):
+        # theta = pi/2 leaves sin(phi) * cos(theta) = 6e-17: the beam grazes the plane
+        pose = Pose(Position(1000.0, 0.0, 0.0), Orientation(math.pi / 2, math.pi / 2))
+        for fn in (exact_loss, bound_lower, bound_upper, approx_params):
+            with pytest.raises(DegenerateGeometryError):
+                fn(pose, BEAM, DET)
+
+    def test_one_far_field_warning_per_call(self):
+        # 5 m against a 0.1 m detector is inside 100 reach; the quadrature
+        # refines over several levels but the check runs once per call
+        pose = tracked_pose(5.0, math.pi / 8, 5 * math.pi / 8)
+        for call in (lambda: exact_loss(pose, BEAM, DET),
+                     lambda: exact_loss_batch(*pose_arrays([pose, pose]), BEAM, DET)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(caught) == 1
+            assert "far-field" in str(caught[0].message)
+            assert caught[0].filename == __file__
 
 
 class TestBounds:
@@ -93,6 +130,42 @@ class TestBounds:
     def test_bounds_strictly_separate_for_oblique_offset(self):
         pose = tracked_pose(1000.0, math.pi / 4, math.pi / 2, fy=0.1, fz=0.1)
         assert bound_upper(pose, BEAM, DET) - bound_lower(pose, BEAM, DET) > 1e-4
+
+
+def assert_bounds_are_unrotated_exact(pose, det):
+    """bound_lower/bound_upper against exact_loss at the un-rotated poses
+    (theta = 0, phi = psi) with the footprint offset u along y or along z."""
+    psi = incidence_angle(pose.orientation)
+    dist = pose.position.norm()
+    u = footprint_center(pose).offset()
+    flat = Orientation(0.0, psi)
+    t = math.sqrt(dist**2 - u**2)
+    across = Pose(Position(t * math.sin(psi), u, t * math.cos(psi)), flat)
+    t = -u * math.cos(psi) + math.sqrt(dist**2 - (u * math.sin(psi)) ** 2)
+    along = Pose(Position(t * math.sin(psi), 0.0, u + t * math.cos(psi)), flat)
+    assert bound_lower(pose, BEAM, det) == pytest.approx(exact_loss(across, BEAM, det), rel=1e-9)
+    assert bound_upper(pose, BEAM, det) == pytest.approx(exact_loss(along, BEAM, det), rel=1e-9)
+
+
+class TestBoundIdentity:
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.6, 0.8])
+    def test_bounds_are_exact_loss_of_unrotated_poses(self, a):
+        rng = np.random.default_rng(int(a * 100))
+        for _ in range(75):
+            alpha = rng.uniform(-math.pi / 3, math.pi / 3)
+            beta = rng.uniform(math.pi / 3, 2 * math.pi / 3)
+            u = rng.uniform(0.0, 2.0 * a)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            pose = tracked_pose(1000.0, alpha, beta, fy=u * math.cos(ang), fz=u * math.sin(ang))
+            assert_bounds_are_unrotated_exact(pose, DetectorParams(a))
+
+    def test_identity_holds_where_the_bounds_cross(self):
+        # a = 0.6 m against w = 0.49 m: the "bounds" cross, and still each is
+        # the exact loss of its un-rotated pose, so the crossing is the model's
+        pose = tracked_pose(1000.0, math.pi / 4, math.pi / 2, fy=0.1, fz=0.1)
+        det = DetectorParams(0.6)
+        assert bound_lower(pose, BEAM, det) > bound_upper(pose, BEAM, det)
+        assert_bounds_are_unrotated_exact(pose, det)
 
 
 class TestApprox:
@@ -178,24 +251,19 @@ class TestBatchKernels:
         poses = [tracked_pose(1000.0, a, b, fy=f)
                  for a, b, f in [(0.0, math.pi / 2, 0.0), (0.2, 1.5, 0.1),
                                  (math.pi / 8, 5 * math.pi / 8, 0.05)]]
-        rx = np.array([p.position.rx for p in poses])
-        ry = np.array([p.position.ry for p in poses])
-        rz = np.array([p.position.rz for p in poses])
-        th = np.array([p.orientation.theta for p in poses])
-        ph = np.array([p.orientation.phi for p in poses])
-        batch = exact_loss_batch(rx, ry, rz, th, ph, BEAM, DET)
+        batch = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
         for i, p in enumerate(poses):
             assert batch[i] == pytest.approx(exact_loss(p, BEAM, DET), rel=1e-9)
+
+    def test_exact_batch_of_no_trials(self):
+        # a chunk whose trials are all degenerate passes empty arrays
+        empty = np.empty(0)
+        assert exact_loss_batch(empty, empty, empty, empty, empty, BEAM, DET).shape == (0,)
 
     def test_approx_batch_matches_scalar(self):
         poses = [tracked_pose(1000.0, a, b, fy=f)
                  for a, b, f in [(0.0, math.pi / 2, 0.2), (-0.3, 1.2, 0.02)]]
-        rx = np.array([p.position.rx for p in poses])
-        ry = np.array([p.position.ry for p in poses])
-        rz = np.array([p.position.rz for p in poses])
-        th = np.array([p.orientation.theta for p in poses])
-        ph = np.array([p.orientation.phi for p in poses])
-        batch = approx_mean_batch(rx, ry, rz, th, ph, BEAM, DET)
+        batch = approx_mean_batch(*pose_arrays(poses), BEAM, DET)
         for i, p in enumerate(poses):
             assert batch[i] == pytest.approx(
                 approx_mean(approx_params(p, BEAM, DET)), rel=1e-12)

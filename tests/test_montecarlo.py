@@ -10,6 +10,7 @@ from fso_geoloss.geometry import Orientation, Pose, Position
 from fso_geoloss.geoloss import DetectorParams, approx_mean, approx_params, exact_loss
 from fso_geoloss.montecarlo import (
     CHUNK,
+    LOSS_KERNELS,
     GofInconclusiveError,
     TrialPlan,
     _bin_probabilities,
@@ -77,6 +78,13 @@ class TestRunTrials:
         pose = sample_pose(d, plan.seed, 13)
         ref = exact_loss(pose, BEAM, DET)
         assert samples[13] == pytest.approx(ref, rel=1e-9)
+
+    def test_chunk_of_only_degenerate_trials(self):
+        # seed 40 draws phi = pi/2 - 2.10 for trial 0, outside (0, pi)
+        for kernel in LOSS_KERNELS:
+            samples, stats = run_trials(plan_for(sigma_o=1.0, n=1, seed=40, kernel=kernel))
+            assert stats.degenerate_trials == 1
+            assert samples.tolist() == [0.0]
 
     def test_seed_changes_samples(self):
         a, _ = run_trials(plan_for(seed=1, n=256))
