@@ -30,6 +30,9 @@ from fso_geoloss.geoloss import (
     exact_loss_batch,
     loss_db,
 )
+from fso_geoloss.montecarlo import sample_pose
+from fso_geoloss.numerics import BLOCK
+from fso_geoloss.stochastic import PoseDistribution
 
 BEAM = BeamParams(w0=1e-3, wavelength=1550e-9, cn2=1e-14)
 DET = DetectorParams(a=0.1)
@@ -259,6 +262,18 @@ class TestBatchKernels:
         # a chunk whose trials are all degenerate passes empty arrays
         empty = np.empty(0)
         assert exact_loss_batch(empty, empty, empty, empty, empty, BEAM, DET).shape == (0,)
+
+    def test_exact_batch_bits_do_not_depend_on_row(self):
+        # at 1 mrad the batch converges at order 32 (2048 nodes), where these
+        # poses span four row blocks of the integrand and of its sums
+        n = 3 * (BLOCK // 2048) + 5
+        d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8,
+                                            sigma_o=1e-3)
+        poses = [sample_pose(d, 0, i) for i in range(n)]
+        perm = np.random.default_rng(8).permutation(n)
+        base = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
+        shuffled = exact_loss_batch(*pose_arrays([poses[i] for i in perm]), BEAM, DET)
+        assert shuffled.tobytes() == base[perm].tobytes()
 
     def test_approx_batch_matches_scalar(self):
         poses = [tracked_pose(1000.0, a, b, fy=f)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import erf, i0e
 
-from fso_geoloss.numerics import QuadratureError, SymMatrix2, disk_quadrature, eig_sym2
+from fso_geoloss.numerics import (
+    BLOCK,
+    QuadratureError,
+    SymMatrix2,
+    _polar_rule,
+    _row_sums,
+    disk_quadrature,
+    eig_sym2,
+)
 
 
 def erf_series_oracle(x, terms=2000):
@@ -129,6 +137,32 @@ class TestDiskQuadrature:
             disk_quadrature(lambda y, z: y, -1.0)
         with pytest.raises(ValueError):
             disk_quadrature(lambda y, z: y, 1.0, rel_tol=2.0)
+
+    @pytest.mark.parametrize("order", [32, 128])
+    def test_row_blocked_sums_are_bitwise_whole_array_sums(self, order):
+        _y, _z, w = _polar_rule(order, 0.1)
+        rows = max(1, BLOCK // w.size)
+        rng = np.random.default_rng(order)
+        for n in {1, rows - 1, rows, rows + 1, 5 * rows + 3} - {0}:
+            vals = rng.standard_normal((n, w.size)) * rng.uniform(1e-12, 1e3, (n, 1))
+            assert _row_sums(vals, w).tobytes() == np.sum(vals * w, axis=-1).tobytes()
+            assert (_row_sums(vals, w, absolute=True).tobytes()
+                    == np.sum(np.abs(vals) * w, axis=-1).tobytes())
+
+    def test_cancelling_row_converges_through_gross_floor_in_a_batch(self):
+        # the y row integrates to 0, so only the 1e-13 * integral(|y|) floor,
+        # summed when the relative test fails, lets the batch converge
+        radius, rel_tol = 1.0, 1e-9
+        s2 = np.array([[0.25], [1.0], [4.0]])
+
+        def f(y, z):
+            return np.vstack([y, np.exp(-(y * y + z * z) / s2)])
+
+        vals = disk_quadrature(f, radius, rel_tol)
+        assert vals.shape == (4,)
+        assert abs(vals[0]) <= 1e-13 * 4.0 / 3.0 * radius**3
+        expected = [math.pi * v * (1.0 - math.exp(-radius**2 / v)) for v in s2[:, 0]]
+        assert vals[1:] == pytest.approx(expected, rel=rel_tol)
 
     def test_nonconvergence_reports_best_estimate(self):
         # highly oscillatory integrand that never meets an absurd tolerance
