@@ -2,9 +2,9 @@
 obliquely projected intensity on the detector plane.
 
 A beam hitting the detector plane at an angle paints elliptic rather than
-circular intensity contours.  `ellipse_params` collects the quadratic-form
-coefficients of those contours together with the inverse axis coefficients
-used by the loss bounds.
+circular intensity contours.  `ellipse_coefficients` and `ellipse_axes`
+give their quadratic form and the inverse axis coefficients of the loss
+bounds; `ellipse_params` collects both for one orientation.
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def beam_width(b: BeamParams, distance):
     """1/e^2 intensity radius after `distance` meters, with turbulence
     broadening through the coherence length.  Accepts array distances."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("distance must be positive")
     spread = b.wavelength * d / (math.pi * b.w0**2)
     s = 0.55 * b.cn2 * b.wavenumber**2 * d
-    inv_rho2 = s**1.2  # = coherence_length(L)^(-2)
-    w = b.w0 * np.sqrt(1.0 + (1.0 + 2.0 * b.w0**2 * inv_rho2) * spread**2)
+    inv_rho2 = np.power(s, 1.2)  # = rho(L)^-2; no scalar pow: floats match arrays bitwise
+    w = b.w0 * np.sqrt(1.0 + (1.0 + 2.0 * b.w0**2 * inv_rho2) * (spread * spread))
     return float(w) if np.ndim(distance) == 0 else w
 
 

@@ -151,15 +151,15 @@ def parse_config_text(text: str) -> dict:
             if target in seen:
                 raise ConfigError(f"line {lineno}: {key} conflicts with {target}")
             seen[target] = lineno
-            values[_KEY_SPEC[target][0]] = float(val) * DEG
-            continue
-        if key not in _KEY_SPEC:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
-                              f"(first set on line {seen[key]})")
-        seen[key] = lineno
-        attr, parse, _fmt = _KEY_SPEC[key]
+            attr, parse = _KEY_SPEC[target][0], lambda v: float(v) * DEG
+        else:
+            if key not in _KEY_SPEC:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                                  f"(first set on line {seen[key]})")
+            seen[key] = lineno
+            attr, parse, _fmt = _KEY_SPEC[key]
         try:
             values[attr] = parse(val)
         except (ValueError, ConfigError) as e:
@@ -424,7 +424,8 @@ def main(argv=None) -> int:
             n_trials=args.trials,
             rel_tol=args.tol,
         )
-    except (ConfigError, OSError) as e:
+        mc.resolve_threads()  # a malformed thread-count variable is a config error
+    except (ConfigError, OSError, mc.ThreadsEnvError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:

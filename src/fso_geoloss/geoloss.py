@@ -1,16 +1,17 @@
 """Deterministic geometric loss of the optical link.
 
-`exact_loss` integrates the projected beam intensity over the circular
-detector.  The rotated-ellipse bounds replace the tilted intensity contour
-by best/worst aligned ellipses with the same axis coefficients; they and
-both exact kernels integrate one Gaussian quadratic form, `_capture`.  The
-closed-form approximations collapse the bound integrals into
-A0 * exp(-2 u^2 / (k w^2)) kernels, computed once in `_approx`.
+Every kernel, for one pose or a batch, reads the pose through one
+derivation, `_pose_form`.  `exact_loss` integrates the projected intensity
+over the circular detector; the rotated-ellipse bounds replace its tilted
+contour by best/worst aligned ellipses, and all three integrate through
+`_capture`.  The closed-form approximations collapse the bound integrals
+into A0 * exp(-2 u^2 / (k w^2)) kernels, computed once in `_approx`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,11 @@ from . import beam as beam_mod
 from . import geometry
 from .beam import (
     BeamParams,
-    ellipse_params,
+    ellipse_params,  # unused here; perfbench's tracing.TARGETS hooks geoloss.ellipse_params
     intensity_on_pd,  # unused here; perfbench's tracing.TARGETS hooks geoloss.intensity_on_pd
 )
-from .geometry import Pose, footprint_center
+from .geometry import Pose
+from .geometry import footprint_center  # unused here; perfbench's tracing.TARGETS hooks geoloss.footprint_center
 from .numerics import BLOCK, disk_quadrature
 
 DEFAULT_REL_TOL = 1e-9
@@ -75,33 +77,54 @@ class ChannelInputs:
             raise ValueError(f"invalid channel inputs: {self}")
 
 
+_Form = namedtuple("_Form", "s fy fz u rho_y rho_z rho_yz rho_min rho_max dist w")
+
+
+def _pose_form(rx, ry, rz, theta, phi, b: BeamParams) -> _Form:
+    """Kernel inputs, elementwise over float or (n,) array pose coordinates;
+    raises DegenerateGeometryError if any pose grazes the detector plane."""
+    s = np.abs(np.sin(phi) * np.cos(theta))
+    if (s < geometry.DEGENERACY_TOL).any():
+        raise geometry.DegenerateGeometryError(
+            f"beam parallel to detector plane (|sin(phi)*cos(theta)|={np.min(s):.3e})")
+    fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
+    rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
+    rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, s * s)
+    dist = np.sqrt(rx * rx + ry * ry + rz * rz)
+    return _Form(s, fy, fz, np.hypot(fy, fz), rho_y, rho_z, rho_yz, rho_min, rho_max,
+                 dist, beam_mod.beam_width(b, dist))
+
+
+def _coords(p: Pose):
+    return p.position.rx, p.position.ry, p.position.rz, p.orientation.theta, p.orientation.phi
+
+
 def _gauss(y, z, pref, c_y, c_z, c_yz, fy, fz, out=None):
     yt = y - fy
     zt = z - fz
     return np.multiply(pref, np.exp(-(c_y * yt * yt + c_z * zt * zt + c_yz * yt * zt)), out=out)
 
 
-def _capture(pref, c_y, c_z, c_yz, fy, fz, a: float, rel_tol: float):
-    """pref * exp(-(c_y yt^2 + c_z zt^2 + c_yz yt zt)), (yt, zt) = (y - fy,
-    z - fz), integrated over the radius-`a` disk and clipped to [0, 1]: one
-    float for float coefficients, n losses for (n, 1) columns.
-
-    For columns the integrand fills its (n, nodes) output `BLOCK // nodes`
-    rows at a time, so its temporaries stay in cache; every element is the
-    same expression of the same operands as unblocked, hence bit-identical,
-    and a trial's bits do not depend on its row."""
-    if not isinstance(pref, np.ndarray):
-        est = disk_quadrature(lambda y, z: _gauss(y, z, pref, c_y, c_z, c_yz, fy, fz),
-                              a, rel_tol)
+def _capture(f: _Form, a: float, rel_tol: float):
+    """Form f's projected intensity 2 s / (pi w^2) exp(-2 (rho_y yt^2 + rho_z
+    zt^2 + 2 rho_yz yt zt) / w^2), (yt, zt) = (y - fy, z - fz), integrated
+    over the radius-`a` disk and clipped to [0, 1]: a float for a float form,
+    n losses for (n,) arrays.  For arrays the integrand fills its (n, nodes)
+    output `BLOCK // nodes` rows at a time, so its temporaries stay in cache;
+    every element is the same expression of the same operands as unblocked,
+    hence bit-identical, and a trial's bits do not depend on its row."""
+    w2 = f.w * f.w
+    coef = (f.s * 2.0 / (math.pi * w2), f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2,
+            f.rho_yz * 4.0 / w2, f.fy, f.fz)
+    if not isinstance(f.s, np.ndarray):
+        est = disk_quadrature(lambda y, z: _gauss(y, z, *coef), a, rel_tol)
         return min(max(est, 0.0), 1.0)
 
     def integrand(y, z):
-        out = np.empty((len(pref), len(y)))
+        out = np.empty((len(f.s), len(y)))
         step = max(1, BLOCK // len(y))
-        for s in range(0, len(pref), step):
-            e = s + step
-            _gauss(y, z, pref[s:e], c_y[s:e], c_z[s:e], c_yz[s:e], fy[s:e], fz[s:e],
-                   out=out[s:e])
+        for i in range(0, len(f.s), step):
+            _gauss(y, z, *(c[i:i + step, None] for c in coef), out=out[i:i + step])
         return out
 
     est = disk_quadrature(integrand, a, rel_tol)
@@ -111,25 +134,19 @@ def _capture(pref, c_y, c_z, c_yz, fy, fz, a: float, rel_tol: float):
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,
                rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Fraction of transmitted power captured by the detector."""
-    ep = ellipse_params(p.orientation)
-    f = footprint_center(p)
-    distance = p.position.norm()
-    beam_mod.check_far_field(distance, max(f.offset(), d.a))
-    w2 = beam_mod.beam_width(b, distance) ** 2
-    return _capture(2.0 * math.sin(ep.psi) / (math.pi * w2), 2.0 * ep.rho_y / w2,
-                    2.0 * ep.rho_z / w2, 4.0 * ep.rho_yz / w2, f.fy, f.fz, d.a, rel_tol)
+    f = _pose_form(*_coords(p), b)
+    beam_mod.check_far_field(f.dist, max(f.u, d.a))
+    return _capture(f, d.a, rel_tol)
 
 
 def _bound(p: Pose, b: BeamParams, d: DetectorParams, rel_tol: float,
            upper: bool) -> float:
-    """Loss for the contour ellipse turned so that its major axis lies along
-    (upper) or across (lower) the offset direction, the offset on y."""
-    ep = ellipse_params(p.orientation)
-    rho_along, rho_across = (ep.rho_max, ep.rho_min) if upper else (ep.rho_min, ep.rho_max)
-    w2 = beam_mod.beam_width(b, p.position.norm()) ** 2
-    return _capture(2.0 * math.sin(ep.psi) / (math.pi * w2), 2.0 / (w2 * rho_along),
-                    2.0 / (w2 * rho_across), 0.0, footprint_center(p).offset(), 0.0,
-                    d.a, rel_tol)
+    """Capture of the contour ellipse turned so that its major axis lies
+    along (upper) or across (lower) the offset direction, the offset on y."""
+    f = _pose_form(*_coords(p), b)
+    along, across = (f.rho_max, f.rho_min) if upper else (f.rho_min, f.rho_max)
+    return _capture(f._replace(rho_y=1.0 / along, rho_z=1.0 / across, rho_yz=0.0,
+                               fy=f.u, fz=0.0), d.a, rel_tol)
 
 
 def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
@@ -164,16 +181,20 @@ def _approx(a: float, w, rho_min, rho_max):
 
 
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
-    """Closed-form approximation parameters for pose `p`."""
-    ep = ellipse_params(p.orientation)
-    u = footprint_center(p).offset()
-    w = beam_mod.beam_width(b, p.position.norm())
-    a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, w, ep.rho_min, ep.rho_max))
-    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max, u, w)
+    """Closed-form approximation parameters for pose `p`.
+
+    k_min <= k_max holds only while a is small against w.  At 1 km, alpha =
+    pi/4, beta = pi/2 and footprint offset (0.1, 0.1) m, where w = 0.49 m,
+    a = 0.5 m gives k_min 3.25 <= k_max 3.52 but a = 0.6 m gives 5.74 > 4.58."""
+    f = _pose_form(*_coords(p), b)
+    a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, f.w, f.rho_min, f.rho_max))
+    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max, float(f.u), f.w)
 
 
 def approx_bounds(ap: ApproxParams) -> tuple[float, float]:
-    """Closed-form (lower, upper) loss approximations."""
+    """Closed-form (lower, upper) loss approximations.  Ordered only while
+    k_min <= k_max; once a is comparable to w the lower value can exceed the
+    upper one (see `approx_params`)."""
     w2 = ap.w * ap.w
     low = ap.a0 * math.exp(-2.0 * ap.u**2 / (ap.k_min * w2))
     upp = ap.a0 * math.exp(-2.0 * ap.u**2 / (ap.k_max * w2))
@@ -209,30 +230,17 @@ def exact_loss_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
     a trial's refinement level can depend on its batch mates; callers that
     need reproducible values must keep batch composition fixed.
     """
-    rx, ry, rz = np.asarray(rx, float), np.asarray(ry, float), np.asarray(rz, float)
-    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
-    rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
-    dist = np.sqrt(rx * rx + ry * ry + rz * rz)
-    w2 = beam_mod.beam_width(b, dist) ** 2
-    pref = np.abs(np.sin(phi) * np.cos(theta)) * 2.0 / (math.pi * w2)
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
     # initial= lets a chunk of only degenerate trials pass an empty batch
-    reach = max(float(np.max(np.hypot(fy, fz), initial=0.0)), d.a)
-    beam_mod.check_far_field(float(np.min(dist, initial=math.inf)), reach)
-    return _capture(pref[:, None], (rho_y * 2.0 / w2)[:, None], (rho_z * 2.0 / w2)[:, None],
-                    (rho_yz * 4.0 / w2)[:, None], fy[:, None], fz[:, None], d.a, rel_tol)
+    reach = max(float(np.max(f.u, initial=0.0)), d.a)
+    beam_mod.check_far_field(float(np.min(f.dist, initial=math.inf)), reach)
+    return _capture(f, d.a, rel_tol)
 
 
 def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
                       d: DetectorParams) -> np.ndarray:
     """Vectorized per-pose evaluation of the `approx_mean` kernel."""
-    rx, ry, rz = np.asarray(rx, float), np.asarray(ry, float), np.asarray(rz, float)
-    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
-    rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
-    det = (np.sin(phi) * np.cos(theta)) ** 2
-    rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, det)
-    w = beam_mod.beam_width(b, np.sqrt(rx * rx + ry * ry + rz * rz))
-    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, w, rho_min, rho_max)
-    u2 = fy * fy + fz * fz
-    return a0 * np.exp(-2.0 * u2 / (0.5 * (k_min + k_max) * w * w))
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
+    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
+    u2 = f.fy * f.fy + f.fz * f.fz
+    return a0 * np.exp(-2.0 * u2 / (0.5 * (k_min + k_max) * f.w * f.w))

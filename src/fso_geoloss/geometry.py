@@ -89,7 +89,7 @@ def incidence_angle(o: Orientation) -> float:
 
 
 def footprint_yz(rx, ry, rz, theta, phi):
-    """Footprint coordinates for array inputs; no degeneracy guarding."""
+    """Footprint coordinates for float or array inputs; no degeneracy guarding."""
     return ry - rx * np.tan(theta), rz - rx / (np.tan(phi) * np.cos(theta))
 
 
@@ -103,9 +103,7 @@ def footprint_center(p: Pose) -> FootprintCenter:
             f"footprint undefined: cos(theta)={ct:.3e}, sin(phi)={sp:.3e}"
         )
     r = p.position
-    fy = r.ry - r.rx * math.tan(o.theta)
-    fz = r.rz - r.rx / (math.tan(o.phi) * ct)
-    return FootprintCenter(fy, fz)
+    return FootprintCenter(*map(float, footprint_yz(r.rx, r.ry, r.rz, o.theta, o.phi)))
 
 
 def tracking_orientation(mu_r: Position) -> Orientation:

@@ -21,7 +21,7 @@ from scipy.special import chdtrc
 
 from . import geoloss as geoloss_mod
 from .beam import BeamParams
-from .geometry import Orientation, Pose, Position
+from .geometry import DEGENERACY_TOL, Orientation, Pose, Position
 from .geoloss import DetectorParams
 from .numerics import QuadratureError
 from .stochastic import (
@@ -54,6 +54,10 @@ MIN_EXPECTED = 5.0
 
 class GofInconclusiveError(RuntimeError):
     """Too few samples for a meaningful test; raise n_trials."""
+
+
+class ThreadsEnvError(ValueError):
+    """`THREADS_ENV` is set to something other than an integer."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,11 @@ class Histogram:
 def resolve_threads(threads: int | None = None) -> int:
     """Worker-thread count: explicit argument, else the env cap, else 1."""
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ThreadsEnvError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     return max(1, threads)
 
 
@@ -164,7 +172,7 @@ def _chunk_losses(plan: TrialPlan, start: int, count: int):
 
     ok = (
         (phi > 0.0) & (phi < math.pi)
-        & (np.abs(np.sin(phi) * np.cos(theta)) >= 1e-12)
+        & (np.abs(np.sin(phi) * np.cos(theta)) >= DEGENERACY_TOL)
         & (rx != 0.0)
     )
     losses = np.zeros(count)

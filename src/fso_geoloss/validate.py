@@ -16,7 +16,7 @@ from scipy.special import erf, i0e
 
 from . import beam as beam_mod
 from . import geoloss as geoloss_mod
-from . import geometry, numerics, stochastic
+from . import geometry, montecarlo, numerics, stochastic
 
 DEFAULT_BEAM = beam_mod.BeamParams(w0=1e-3, wavelength=1550e-9, cn2=1e-14)
 DEFAULT_DETECTOR = geoloss_mod.DetectorParams(a=0.1)
@@ -329,12 +329,13 @@ def check_approx_bracket(rel_tol: float) -> CheckResult:
 
 
 def check_hoyt_sampling(rel_tol: float) -> CheckResult:
-    lam1, lam2 = 4.0, 1.0
-    rng = np.random.default_rng(2718)
-    g1 = rng.normal(0.0, math.sqrt(lam1), 1_000_000)
-    g2 = rng.normal(0.0, math.sqrt(lam2), 1_000_000)
-    mean_sq = float(np.mean(g1 * g1 + g2 * g2))
-    rel = abs(mean_sq / (lam1 + lam2) - 1.0)
+    # the engine's own perturbations, through the linearized footprint
+    d = stochastic.PoseDistribution.from_spherical(
+        1000.0, math.pi / 8, 5 * math.pi / 8, sigma_p=0.05, sigma_o=1e-4)
+    eps = montecarlo._chunk_eps(2718, 0, 200_000, d.sigmas())
+    f = stochastic.linearized_footprint(d, eps.T)
+    mean_sq = float(np.mean(f.fy * f.fy + f.fz * f.fz))
+    rel = abs(mean_sq / stochastic.covariance_sigma(d).trace() - 1.0)
     return CheckResult("hoyt_sampling_power", rel <= 0.01,
                        f"E[u^2]/Omega - 1 = {rel:.2e} (tol 1e-2)")
 

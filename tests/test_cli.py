@@ -60,6 +60,10 @@ class TestConfigParsing:
         values = parse_config_text("geometry.alpha_deg = 45")
         assert values["alpha_rad"] == pytest.approx(math.pi / 4)
 
+    def test_malformed_degree_value_is_a_field_error(self):
+        with pytest.raises(ConfigError, match="line 2: field geometry.alpha_deg"):
+            parse_config_text("mc.seed = 1\ngeometry.alpha_deg = abc")
+
     def test_degree_conflicts_with_radian(self):
         with pytest.raises(ConfigError, match="conflicts"):
             parse_config_text("geometry.alpha_rad = 0.1\ngeometry.alpha_deg = 45")
@@ -257,6 +261,14 @@ class TestMain:
         names = [row[0] for row in doc["rows"]]
         assert "bound_ordering" in names
         assert all(row[1] == "True" for row in doc["rows"])
+
+    def test_malformed_thread_env_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        cfgfile = tmp_path / "avg.cfg"
+        cfgfile.write_text("sweep.variable = sigma\nsweep.values = 0.5\nmc.n_trials = 10\n")
+        monkeypatch.setenv("FSO_GEOLOSS_THREADS", "two")
+        assert main(["average-loss", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "FSO_GEOLOSS_THREADS" in err
 
     def test_determinism_across_thread_env(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "avg.cfg"

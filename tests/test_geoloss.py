@@ -86,6 +86,11 @@ class TestExactLoss:
         for fn in (exact_loss, bound_lower, bound_upper, approx_params):
             with pytest.raises(DegenerateGeometryError):
                 fn(pose, BEAM, DET)
+        # one grazing pose fails a whole batch, as one grazing pose fails a call
+        batch = pose_arrays([tracked_pose(1000.0, 0.2, 1.5), pose])
+        for fn in (exact_loss_batch, approx_mean_batch):
+            with pytest.raises(DegenerateGeometryError):
+                fn(*batch, BEAM, DET)
 
     def test_one_far_field_warning_per_call(self):
         # 5 m against a 0.1 m detector is inside 100 reach; the quadrature
@@ -229,6 +234,21 @@ class TestApprox:
         assert approx_mean(ap) == pytest.approx(expected, rel=1e-14)
         assert approx_mean(ap) == pytest.approx(0.07274412194782998, rel=1e-9)
 
+    def test_closed_form_bounds_cross_once_a_is_comparable_to_w(self):
+        # the pose where the exact bounds cross (TestBoundIdentity): the
+        # closed-form pair is ordered at a = 0.5 m and crossed at a = 0.6 m
+        pose = tracked_pose(1000.0, math.pi / 4, math.pi / 2, fy=0.1, fz=0.1)
+        ap = approx_params(pose, BEAM, DetectorParams(0.5))
+        assert ap.k_min == pytest.approx(3.246, abs=1e-3)
+        assert ap.k_max == pytest.approx(3.518, abs=1e-3)
+        low, upp = approx_bounds(ap)
+        assert low <= approx_mean(ap) <= upp
+        ap = approx_params(pose, BEAM, DetectorParams(0.6))
+        assert ap.k_min == pytest.approx(5.744, abs=1e-3)
+        assert ap.k_max == pytest.approx(4.582, abs=1e-3)
+        low, upp = approx_bounds(ap)
+        assert low > approx_mean(ap) > upp
+
     def test_close_to_exact_at_center(self):
         pose = tracked_pose(1000.0, 0.0, math.pi / 2)
         ap = approx_params(pose, BEAM, DET)
@@ -257,6 +277,19 @@ class TestBatchKernels:
         batch = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
         for i, p in enumerate(poses):
             assert batch[i] == pytest.approx(exact_loss(p, BEAM, DET), rel=1e-9)
+
+    def test_exact_loss_is_the_one_pose_batch_bitwise(self):
+        # one derivation serves both: a pose's scalar loss is its batch bits
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            a = (0.05, 0.1, 0.6)[i % 3]
+            u, ang = rng.uniform(0.0, 2.0 * a), rng.uniform(0.0, 2.0 * math.pi)
+            pose = tracked_pose(1000.0, rng.uniform(-math.pi / 3, math.pi / 3),
+                                rng.uniform(math.pi / 3, 2 * math.pi / 3),
+                                fy=u * math.cos(ang), fz=u * math.sin(ang))
+            det = DetectorParams(a)
+            batch = exact_loss_batch(*pose_arrays([pose]), BEAM, det)
+            assert exact_loss(pose, BEAM, det) == batch[0]
 
     def test_exact_batch_of_no_trials(self):
         # a chunk whose trials are all degenerate passes empty arrays
