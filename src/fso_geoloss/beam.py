@@ -36,7 +36,8 @@ class BeamParams:
     cn2: float = 0.0
 
     def __post_init__(self):
-        if self.w0 <= 0 or self.wavelength <= 0 or self.cn2 < 0:
+        if not (0 < self.w0 < math.inf and 0 < self.wavelength < math.inf
+                and 0 <= self.cn2 < math.inf):
             raise ValueError(f"invalid beam parameters: {self}")
 
     @property

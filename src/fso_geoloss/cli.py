@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
@@ -35,6 +36,16 @@ DEG = math.pi / 180.0
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _model_errors():
+    """A model constructor's ValueError (NaN, out of range, degenerate
+    geometry) is a config error."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _parse_floats(s: str):
@@ -170,8 +181,11 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str | None, **overrides) -> ExperimentConfig:
     values = {}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                values = parse_config_text(fh.read())
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         cfg = ExperimentConfig(**values)
@@ -192,9 +206,6 @@ def _validate_config(cfg: ExperimentConfig):
         raise ConfigError("sweep.values must not be empty")
     if tuple(sorted(cfg.sweep_values)) != cfg.sweep_values:
         raise ConfigError("sweep.values must be sorted ascending")
-    for name in ("radius_m", "w0_m", "wavelength_m", "detector_radius_m"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
     if cfg.n_trials < 1:
         raise ConfigError("mc.n_trials must be >= 1")
     if not 0.0 < cfg.rel_tol < 1.0:
@@ -264,6 +275,13 @@ def _emit(cfg: ExperimentConfig, text: str):
             fh.write(text)
 
 
+def _plans(cfg: ExperimentConfig, d, kernels) -> list:
+    """One `TrialPlan` of distribution `d` per loss kernel."""
+    return [mc.TrialPlan(n_trials=cfg.n_trials, seed=cfg.seed, distribution=d,
+                         beam=cfg.beam(), detector=cfg.detector(), loss_kernel=kernel,
+                         rel_tol=cfg.rel_tol) for kernel in kernels]
+
+
 def _deterministic_pose(cfg: ExperimentConfig, alpha: float, offset) -> Pose:
     mu = spherical_mean_position(cfg.radius_m, alpha, cfg.beta_rad)
     orient = tracking_orientation(mu)
@@ -281,21 +299,22 @@ def cmd_bounds(cfg: ExperimentConfig):
     """Deterministic loss table over the alpha sweep (sigma ignored)."""
     if cfg.sweep_variable != "alpha":
         raise ConfigError("bounds requires sweep.variable = alpha")
-    b, det = cfg.beam(), cfg.detector()
+    with _model_errors():
+        b, det = cfg.beam(), cfg.detector()
+        grid = [(alpha, offset, _deterministic_pose(cfg, alpha, offset))
+                for alpha in cfg.sweep_values for offset in cfg.bounds_offsets_m]
     rows = []
-    for alpha in cfg.sweep_values:
-        for offset in cfg.bounds_offsets_m:
-            pose = _deterministic_pose(cfg, alpha, offset)
-            ap = geoloss_mod.approx_params(pose, b, det)
-            alow, aupp = geoloss_mod.approx_bounds(ap)
-            rows.append([
-                alpha, offset[0], offset[1],
-                loss_db(geoloss_mod.exact_loss(pose, b, det, cfg.rel_tol)),
-                loss_db(geoloss_mod.bound_lower(pose, b, det, cfg.rel_tol)),
-                loss_db(geoloss_mod.bound_upper(pose, b, det, cfg.rel_tol)),
-                loss_db(alow), loss_db(aupp),
-                loss_db(geoloss_mod.approx_mean(ap)),
-            ])
+    for alpha, offset, pose in grid:
+        ap = geoloss_mod.approx_params(pose, b, det)
+        alow, aupp = geoloss_mod.approx_bounds(ap)
+        rows.append([
+            alpha, offset[0], offset[1],
+            loss_db(geoloss_mod.exact_loss(pose, b, det, cfg.rel_tol)),
+            loss_db(geoloss_mod.bound_lower(pose, b, det, cfg.rel_tol)),
+            loss_db(geoloss_mod.bound_upper(pose, b, det, cfg.rel_tol)),
+            loss_db(alow), loss_db(aupp),
+            loss_db(geoloss_mod.approx_mean(ap)),
+        ])
     return BOUNDS_COLUMNS, rows, {}
 
 
@@ -310,30 +329,21 @@ def cmd_average_loss(cfg: ExperimentConfig):
     """Paired-seed Monte Carlo averages under both loss kernels."""
     if cfg.sweep_variable != "sigma":
         raise ConfigError("average-loss requires sweep.variable = sigma")
-    b, det = cfg.beam(), cfg.detector()
-    distances = cfg.sweep_distances_m or (cfg.radius_m,)
+    name, scale = {"cm": ("sigma_p", 1e-2), "mrad": ("sigma_o", 1e-3)}[cfg.sweep_sigma_unit]
+    with _model_errors():
+        grid = [(dist_m, s, _plans(cfg, stochastic.PoseDistribution.from_spherical(
+                    dist_m, cfg.alpha_rad, cfg.beta_rad, **{name: s * scale}),
+                    ("exact", "approx_mean")))
+                for dist_m in cfg.sweep_distances_m or (cfg.radius_m,)
+                for s in cfg.sweep_values]
     rows = []
-    for dist_m in distances:
-        for s in cfg.sweep_values:
-            if cfg.sweep_sigma_unit == "cm":
-                sigma_p, sigma_o = s * 1e-2, 0.0
-            else:
-                sigma_p, sigma_o = 0.0, s * 1e-3
-            d = stochastic.PoseDistribution.from_spherical(
-                dist_m, cfg.alpha_rad, cfg.beta_rad,
-                sigma_p=sigma_p, sigma_o=sigma_o)
-            results = {}
-            for kernel in mc.LOSS_KERNELS:
-                plan = mc.TrialPlan(
-                    n_trials=cfg.n_trials, seed=cfg.seed, distribution=d,
-                    beam=b, detector=det, loss_kernel=kernel, rel_tol=cfg.rel_tol)
-                _samples, results[kernel] = mc.run_trials(plan)
-            ex, apx = results["exact"], results["approx_mean"]
-            rows.append([
-                s, cfg.sweep_sigma_unit, dist_m, ex.mean_db, apx.mean_db,
-                ex.mean_linear, apx.mean_linear, ex.std_linear,
-                ex.degenerate_trials,
-            ])
+    for dist_m, s, plans in grid:
+        ex, apx = (mc.run_trials(plan)[1] for plan in plans)
+        rows.append([
+            s, cfg.sweep_sigma_unit, dist_m, ex.mean_db, apx.mean_db,
+            ex.mean_linear, apx.mean_linear, ex.std_linear,
+            ex.degenerate_trials,
+        ])
     return AVERAGE_COLUMNS, rows, {}
 
 
@@ -346,13 +356,10 @@ def cmd_pdf(cfg: ExperimentConfig):
     """Histogram of exact-kernel losses with the analytic density overlay."""
     if cfg.sigma_p_m == 0.0 and cfg.sigma_o_rad == 0.0:
         raise ConfigError("pdf requires stability.sigma_p_m or stability.sigma_o_rad > 0")
-    b, det = cfg.beam(), cfg.detector()
-    d = cfg.distribution()
-    plan = mc.TrialPlan(n_trials=cfg.n_trials, seed=cfg.seed, distribution=d,
-                        beam=b, detector=det, loss_kernel="exact",
-                        rel_tol=cfg.rel_tol)
+    with _model_errors():
+        (plan,) = _plans(cfg, cfg.distribution(), ("exact",))
     samples, stats = mc.run_trials(plan)
-    pdf = stochastic.geoloss_pdf(d, b, det)
+    pdf = stochastic.geoloss_pdf(plan.distribution, plan.beam, plan.detector)
     n_bins = cfg.pdf_n_bins or mc.sturges_bins(len(samples))
     hist = mc.build_histogram(samples, n_bins)
     stat, dof, p_value = mc.chi_square_gof(hist, pdf)

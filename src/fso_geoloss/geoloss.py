@@ -5,7 +5,7 @@ derivation, `_pose_form`.  `exact_loss` integrates the projected intensity
 over the circular detector; the rotated-ellipse bounds replace its tilted
 contour by best/worst aligned ellipses, and all three integrate through
 `_capture`.  The closed-form approximations collapse the bound integrals
-into A0 * exp(-2 u^2 / (k w^2)) kernels, computed once in `_approx`.
+into A0 * exp(-2 u^2 / (k w^2)): `_approx` gives A0 and k, `_closed_form` the kernel.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class DetectorParams:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"detector radius must be positive, got {self.a!r}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"detector radius must be positive and finite, got {self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class ApproxParams:
 
     a0 is the captured fraction for a centered footprint, k_min/k_max/k_mean
     the effective width scalings, nu_min/nu_max the corresponding erf
-    arguments, u the footprint offset and w the beam width at the link
-    distance.  A k is +inf when its nu is so large (>~ 27) that exp(-nu^2)
-    underflows; the kernels then return exactly a0, their limit there.
+    arguments, u the footprint offset, u2 = fy^2 + fz^2 and w the beam width
+    at the link distance.  A k is +inf when its nu is so large (>~ 27) that
+    exp(-nu^2) underflows; the kernels then return exactly a0, their limit.
     """
 
     a0: float
@@ -60,6 +60,7 @@ class ApproxParams:
     nu_min: float
     nu_max: float
     u: float
+    u2: float
     w: float
 
 
@@ -180,6 +181,11 @@ def _approx(a: float, w, rho_min, rho_max):
     return erf_min * erf_max, k_min, k_max, nu_min, nu_max
 
 
+def _closed_form(a0, u2, k, w):
+    """A0 exp(-2 u^2 / (k w^2)) for floats or arrays, u2 = fy^2 + fz^2."""
+    return a0 * np.exp(-2.0 * u2 / (k * w * w))
+
+
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     """Closed-form approximation parameters for pose `p`.
 
@@ -188,22 +194,20 @@ def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     a = 0.5 m gives k_min 3.25 <= k_max 3.52 but a = 0.6 m gives 5.74 > 4.58."""
     f = _pose_form(*_coords(p), b)
     a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, f.w, f.rho_min, f.rho_max))
-    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max, float(f.u), f.w)
+    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max,
+                        float(f.u), float(f.fy * f.fy + f.fz * f.fz), f.w)
 
 
 def approx_bounds(ap: ApproxParams) -> tuple[float, float]:
     """Closed-form (lower, upper) loss approximations.  Ordered only while
     k_min <= k_max; once a is comparable to w the lower value can exceed the
     upper one (see `approx_params`)."""
-    w2 = ap.w * ap.w
-    low = ap.a0 * math.exp(-2.0 * ap.u**2 / (ap.k_min * w2))
-    upp = ap.a0 * math.exp(-2.0 * ap.u**2 / (ap.k_max * w2))
-    return low, upp
+    return tuple(float(_closed_form(ap.a0, ap.u2, k, ap.w)) for k in (ap.k_min, ap.k_max))
 
 
 def approx_mean(ap: ApproxParams) -> float:
     """Closed-form loss approximation with the averaged width scaling."""
-    return ap.a0 * math.exp(-2.0 * ap.u**2 / (ap.k_mean * ap.w * ap.w))
+    return float(_closed_form(ap.a0, ap.u2, ap.k_mean, ap.w))
 
 
 def channel_coefficient(c: ChannelInputs, hg: float) -> float:
@@ -242,5 +246,4 @@ def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
     """Vectorized per-pose evaluation of the `approx_mean` kernel."""
     f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
     a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
-    u2 = f.fy * f.fy + f.fz * f.fz
-    return a0 * np.exp(-2.0 * u2 / (0.5 * (k_min + k_max) * f.w * f.w))
+    return _closed_form(a0, f.fy * f.fy + f.fz * f.fz, 0.5 * (k_min + k_max), f.w)

@@ -33,6 +33,10 @@ class Position:
     ry: float
     rz: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.rx, self.ry, self.rz))):
+            raise ValueError(f"position must be finite, got {self}")
+
     def norm(self) -> float:
         return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
 
@@ -125,8 +129,8 @@ def tracking_orientation(mu_r: Position) -> Orientation:
 
 def spherical_mean_position(radius: float, alpha: float, beta: float) -> Position:
     """Position from spherical coordinates (R, alpha, beta); beta from +z."""
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     sb = math.sin(beta)
     return Position(
         radius * sb * math.cos(alpha),

@@ -21,7 +21,7 @@ from scipy.special import chdtrc
 
 from . import geoloss as geoloss_mod
 from .beam import BeamParams
-from .geometry import DEGENERACY_TOL, Orientation, Pose, Position
+from .geometry import DEGENERACY_TOL, TWO_PI, Orientation, Pose, Position
 from .geoloss import DetectorParams
 from .numerics import QuadratureError
 from .stochastic import (
@@ -73,6 +73,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials!r}")
+        if not 0 <= self.seed < 2**128:  # Philox's key range
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.loss_kernel not in LOSS_KERNELS:
             raise ValueError(
                 f"unknown loss kernel {self.loss_kernel!r}; pick one of {LOSS_KERNELS}"
@@ -126,17 +128,22 @@ def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndar
     return gaussian_from_uniforms(raw_to_open_uniform(raw), sigmas)
 
 
+def _chunk_poses(d: PoseDistribution, seed: int, start: int, count: int):
+    """(rx, ry, rz, theta, phi) arrays of trials [start, start+count): the
+    mean pose plus the `_chunk_eps` rows, theta wrapped into [0, 2*pi)."""
+    eps = _chunk_eps(seed, start, count, d.sigmas())
+    return (d.mu_r.rx + eps[:, 0], d.mu_r.ry + eps[:, 1], d.mu_r.rz + eps[:, 2],
+            (d.mu_omega.theta + eps[:, 3]) % TWO_PI, d.mu_omega.phi + eps[:, 4])
+
+
 def sample_pose(d: PoseDistribution, seed: int, index: int) -> Pose:
     """The pose of trial `index` under `seed`, as `run_trials` draws it.
 
-    `Orientation` wraps theta into [0, 2*pi) and raises ValueError for a
-    phi perturbed out of (0, pi) (vanishingly unlikely at mrad-scale jitter).
+    `Orientation` raises ValueError for a phi perturbed out of (0, pi)
+    (vanishingly unlikely at mrad-scale jitter).
     """
-    eps = _chunk_eps(seed, index, 1, d.sigmas())[0]
-    return Pose(
-        Position(d.mu_r.rx + eps[0], d.mu_r.ry + eps[1], d.mu_r.rz + eps[2]),
-        Orientation(d.mu_omega.theta + eps[3], d.mu_omega.phi + eps[4]),
-    )
+    rx, ry, rz, theta, phi = (float(v[0]) for v in _chunk_poses(d, seed, index, 1))
+    return Pose(Position(rx, ry, rz), Orientation(theta, phi))
 
 
 def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams,
@@ -144,17 +151,16 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
     """Coefficients of variation of A0, k_mean, and u under pose sampling.
 
     Diagnoses the freeze of A0/k_mean at the mean pose: their spread should
-    be orders of magnitude below the spread of the offset u.
+    be orders of magnitude below the spread of the offset u.  Uses trials
+    0..n-1; a phi outside (0, pi) raises ValueError, as in `sample_pose`.
     """
-    stats: dict[str, list[float]] = {"a0": [], "k_mean": [], "u": []}
-    for i in range(n):
-        ap = geoloss_mod.approx_params(sample_pose(d, seed, i), b, det)
-        stats["a0"].append(ap.a0)
-        stats["k_mean"].append(ap.k_mean)
-        stats["u"].append(ap.u)
+    rx, ry, rz, theta, phi = _chunk_poses(d, seed, 0, n)
+    if not ((phi > 0.0) & (phi < math.pi)).all():
+        raise ValueError("a sampled phi must lie strictly inside (0, pi)")
+    f = geoloss_mod._pose_form(rx, ry, rz, theta, phi, b)
+    a0, k_min, k_max, _nu_min, _nu_max = geoloss_mod._approx(det.a, f.w, f.rho_min, f.rho_max)
     out = {}
-    for name, vals in stats.items():
-        arr = np.asarray(vals)
+    for name, arr in (("a0", a0), ("k_mean", 0.5 * (k_min + k_max)), ("u", f.u)):
         mean = float(arr.mean())
         out[f"cv_{name}"] = float(arr.std() / mean) if mean else math.inf
     return out
@@ -162,14 +168,7 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
 
 def _chunk_losses(plan: TrialPlan, start: int, count: int):
     """Losses and degenerate-trial count for one contiguous chunk."""
-    d = plan.distribution
-    eps = _chunk_eps(plan.seed, start, count, d.sigmas())
-    rx = d.mu_r.rx + eps[:, 0]
-    ry = d.mu_r.ry + eps[:, 1]
-    rz = d.mu_r.rz + eps[:, 2]
-    theta = (d.mu_omega.theta + eps[:, 3]) % (2.0 * math.pi)
-    phi = d.mu_omega.phi + eps[:, 4]
-
+    rx, ry, rz, theta, phi = _chunk_poses(plan.distribution, plan.seed, start, count)
     ok = (
         (phi > 0.0) & (phi < math.pi)
         & (np.abs(np.sin(phi) * np.cos(theta)) >= DEGENERACY_TOL)

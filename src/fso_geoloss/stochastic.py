@@ -64,8 +64,9 @@ class PoseDistribution:
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "sigma_z", "sigma_theta", "sigma_phi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         f = footprint_center(Pose(self.mu_r, self.mu_omega))
         if f.offset() > TRACKING_TOL:
             raise ValueError(

@@ -270,6 +270,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "FSO_GEOLOSS_THREADS" in err
 
+    @pytest.mark.parametrize("command, text, flags", [
+        ("bounds", b"geometry.R_m = 800\xff\n", []),
+        ("average-loss", b"sweep.variable = sigma\nsweep.values = 0.5\nmc.n_trials = 10\n",
+         ["--seed", "-1"]),
+        ("pdf", b"stability.sigma_o_rad = 2e-4\nmc.n_trials = 10\n"
+                b"mc.seed = 340282366920938463463374607431768211456\n", []),
+        ("bounds", b"geometry.beta_rad = 0\n", []),
+        ("bounds", b"detector.radius_m = nan\n", []),
+        ("bounds", b"beam.w0_m = nan\n", []),
+        ("bounds", b"geometry.R_m = inf\n", []),
+        ("bounds", b"bounds.offsets_m = nan:0\n", []),
+        ("pdf", b"stability.sigma_p_m = -1\nmc.n_trials = 10\n", []),
+        ("average-loss", b"sweep.variable = sigma\nsweep.values = -0.5\nmc.n_trials = 10\n", []),
+        ("pdf", b"stability.sigma_o_rad = nan\nmc.n_trials = 10\n", []),
+    ], ids=["not-utf8", "negative-seed", "seed-2^128", "beta-0", "detector-nan", "w0-nan",
+            "radius-inf", "offset-nan", "sigma-p-negative", "sweep-sigma-negative",
+            "sigma-o-nan"])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, text, flags):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfgfile), "--out", str(out), *flags]) \
+            == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_determinism_across_thread_env(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "avg.cfg"
         cfgfile.write_text(

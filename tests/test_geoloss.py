@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fso_geoloss import geoloss as geoloss_mod
 from fso_geoloss.beam import BeamParams, beam_width
 from fso_geoloss.geometry import (
     DegenerateGeometryError,
@@ -307,6 +308,27 @@ class TestBatchKernels:
         base = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
         shuffled = exact_loss_batch(*pose_arrays([poses[i] for i in perm]), BEAM, DET)
         assert shuffled.tobytes() == base[perm].tobytes()
+
+    def test_closed_form_is_the_one_pose_batch_bitwise(self):
+        # one closed-form expression serves both: a pose's scalar values are
+        # the batch expression's bits at k_mean, k_min and k_max
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            a = (0.05, 0.1, 0.6)[i % 3]
+            u, ang = rng.uniform(0.0, 2.0 * a), rng.uniform(0.0, 2.0 * math.pi)
+            pose = tracked_pose(1000.0, rng.uniform(-math.pi / 3, math.pi / 3),
+                                rng.uniform(math.pi / 3, 2 * math.pi / 3),
+                                fy=u * math.cos(ang), fz=u * math.sin(ang))
+            det = DetectorParams(a)
+            arrays = pose_arrays([pose])
+            ap = approx_params(pose, BEAM, det)
+            assert approx_mean(ap) == approx_mean_batch(*arrays, BEAM, det)[0]
+            f = geoloss_mod._pose_form(*arrays, BEAM)
+            a0, k_min, k_max, _, _ = geoloss_mod._approx(a, f.w, f.rho_min, f.rho_max)
+            u2 = f.fy * f.fy + f.fz * f.fz
+            expected = tuple(float((a0 * np.exp(-2.0 * u2 / (k * f.w * f.w)))[0])
+                             for k in (k_min, k_max))
+            assert approx_bounds(ap) == expected
 
     def test_approx_batch_matches_scalar(self):
         poses = [tracked_pose(1000.0, a, b, fy=f)

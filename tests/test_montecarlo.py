@@ -15,6 +15,7 @@ from fso_geoloss.montecarlo import (
     TrialPlan,
     _bin_probabilities,
     _chunk_eps,
+    _chunk_poses,
     build_histogram,
     chi_square_gof,
     run_trials,
@@ -78,6 +79,20 @@ class TestRunTrials:
         pose = sample_pose(d, plan.seed, 13)
         ref = exact_loss(pose, BEAM, DET)
         assert samples[13] == pytest.approx(ref, rel=1e-9)
+
+    def test_sample_pose_is_its_row_across_a_chunk_boundary(self):
+        # trials CHUNK-2 .. CHUNK+1 sit in the first and second chunk of a run
+        plan = plan_for(n=2 * CHUNK, sigma_p=0.01, sigma_o=1e-3, kernel="approx_mean")
+        d = plan.distribution
+        rows = [np.column_stack(_chunk_poses(d, plan.seed, start, CHUNK))
+                for start in (0, CHUNK)]
+        samples, _ = run_trials(plan)
+        for i in range(CHUNK - 2, CHUNK + 2):
+            p = sample_pose(d, plan.seed, i)
+            pose = np.array([p.position.rx, p.position.ry, p.position.rz,
+                             p.orientation.theta, p.orientation.phi])
+            assert pose.tobytes() == rows[i // CHUNK][i % CHUNK].tobytes()
+            assert approx_mean(approx_params(p, BEAM, DET)) == samples[i]
 
     def test_chunk_of_only_degenerate_trials(self):
         # seed 40 draws phi = pi/2 - 2.10 for trial 0, outside (0, pi)

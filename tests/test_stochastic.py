@@ -426,6 +426,21 @@ class TestFrozenParamsSpread:
         assert out["cv_k_mean"] < 1e-3 * out["cv_u"]
         assert out["cv_u"] > 0.1
 
+    def test_equals_per_pose_scalar_loop_bitwise(self):
+        d = fig4_distribution(sigma_p=0.05, sigma_o=5e-4)
+        aps = [approx_params(sample_pose(d, 3, i), BEAM, DET) for i in range(300)]
+        expected = {}
+        for name in ("a0", "k_mean", "u"):
+            arr = np.array([getattr(ap, name) for ap in aps])
+            expected[f"cv_{name}"] = float(arr.std() / arr.mean())
+        assert frozen_params_spread(d, BEAM, DET, n=300, seed=3) == expected
+
+    def test_phi_outside_its_range_raises(self):
+        # at 1 rad jitter some phi of the first 100 trials leave (0, pi)
+        d = fig4_distribution(sigma_p=0.0, sigma_o=1.0)
+        with pytest.raises(ValueError, match="phi must lie strictly inside"):
+            frozen_params_spread(d, BEAM, DET, n=100, seed=3)
+
 
 class TestSensitivityOrdering:
     def test_orientation_dominates_position(self):
