@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -212,6 +213,10 @@ def _validate_config(cfg: ExperimentConfig):
         raise ConfigError("quadrature.rel_tol must be in (0, 1)")
     if cfg.pdf_n_bins < 0:
         raise ConfigError("pdf.n_bins must be >= 0 (0 selects the Sturges rule)")
+    # checked before anything is computed, since the table is written last
+    out_dir = os.path.dirname(cfg.output_path) or "."
+    if cfg.output_path != "-" and (not os.path.isdir(out_dir) or os.path.isdir(cfg.output_path)):
+        raise ConfigError(f"output.path {cfg.output_path!r} is not a file in an existing directory")
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -303,19 +308,23 @@ def cmd_bounds(cfg: ExperimentConfig):
         b, det = cfg.beam(), cfg.detector()
         grid = [(alpha, offset, _deterministic_pose(cfg, alpha, offset))
                 for alpha in cfg.sweep_values for offset in cfg.bounds_offsets_m]
-    rows = []
+    rows, crossed, crossed_approx = [], 0, 0
     for alpha, offset, pose in grid:
         ap = geoloss_mod.approx_params(pose, b, det)
         alow, aupp = geoloss_mod.approx_bounds(ap)
+        low = geoloss_mod.bound_lower(pose, b, det, cfg.rel_tol)
+        upp = geoloss_mod.bound_upper(pose, b, det, cfg.rel_tol)
+        # the bounds are resolved to rel_tol; crossing within it is not counted
+        crossed += low > upp * (1.0 + cfg.rel_tol)
+        crossed_approx += alow > aupp
         rows.append([
             alpha, offset[0], offset[1],
             loss_db(geoloss_mod.exact_loss(pose, b, det, cfg.rel_tol)),
-            loss_db(geoloss_mod.bound_lower(pose, b, det, cfg.rel_tol)),
-            loss_db(geoloss_mod.bound_upper(pose, b, det, cfg.rel_tol)),
-            loss_db(alow), loss_db(aupp),
+            loss_db(low), loss_db(upp), loss_db(alow), loss_db(aupp),
             loss_db(geoloss_mod.approx_mean(ap)),
         ])
-    return BOUNDS_COLUMNS, rows, {}
+    return BOUNDS_COLUMNS, rows, {"crossed_bounds": crossed,
+                                  "crossed_approx_bounds": crossed_approx}
 
 
 AVERAGE_COLUMNS = (

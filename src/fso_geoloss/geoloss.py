@@ -26,7 +26,7 @@ from .beam import (
 )
 from .geometry import Pose
 from .geometry import footprint_center  # unused here; perfbench's tracing.TARGETS hooks geoloss.footprint_center
-from .numerics import BLOCK, disk_quadrature
+from .numerics import disk_quadrature
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -100,36 +100,40 @@ def _coords(p: Pose):
     return p.position.rx, p.position.ry, p.position.rz, p.orientation.theta, p.orientation.phi
 
 
-def _gauss(y, z, pref, c_y, c_z, c_yz, fy, fz, out=None):
-    yt = y - fy
-    zt = z - fz
-    return np.multiply(pref, np.exp(-(c_y * yt * yt + c_z * zt * zt + c_yz * yt * zt)), out=out)
+def _gauss(y, z, pref, c_y, c_z, c_yz, fy, fz, t):
+    """pref exp(-(c_y yt^2 + c_z zt^2 + c_yz yt zt)), yt = y - fy, zt = z - fz, in scratch t."""
+    yt, zt, q, r = t
+    np.subtract(y, fy, yt)
+    np.subtract(z, fz, zt)
+    np.multiply(np.multiply(c_y, yt, q), yt, q)
+    q += np.multiply(np.multiply(c_z, zt, r), zt, r)
+    q += np.multiply(np.multiply(c_yz, yt, r), zt, r)
+    return np.multiply(pref, np.exp(np.negative(q, q), q), q)
 
 
 def _capture(f: _Form, a: float, rel_tol: float):
     """Form f's projected intensity 2 s / (pi w^2) exp(-2 (rho_y yt^2 + rho_z
     zt^2 + 2 rho_yz yt zt) / w^2), (yt, zt) = (y - fy, z - fz), integrated
     over the radius-`a` disk and clipped to [0, 1]: a float for a float form,
-    n losses for (n,) arrays.  For arrays the integrand fills its (n, nodes)
-    output `BLOCK // nodes` rows at a time, so its temporaries stay in cache;
-    every element is the same expression of the same operands as unblocked,
-    hence bit-identical, and a trial's bits do not depend on its row."""
+    n losses for (n,) arrays, whose row blocks `disk_quadrature` streams.
+    Both fill this call's scratch through `_gauss`, the same operations on
+    the same operands, so a trial's bits do not depend on its row."""
     w2 = f.w * f.w
     coef = (f.s * 2.0 / (math.pi * w2), f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2,
             f.rho_yz * 4.0 / w2, f.fy, f.fz)
+    t = ()
+
+    def integrand(y, z, rows=None):
+        nonlocal t
+        c = coef if rows is None else [v[rows, None] for v in coef]
+        shape = y.shape if rows is None else (len(c[0]), len(y))
+        if not t or t[0].shape != shape:
+            t = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
+        return _gauss(y, z, *c, t)
+
     if not isinstance(f.s, np.ndarray):
-        est = disk_quadrature(lambda y, z: _gauss(y, z, *coef), a, rel_tol)
-        return min(max(est, 0.0), 1.0)
-
-    def integrand(y, z):
-        out = np.empty((len(f.s), len(y)))
-        step = max(1, BLOCK // len(y))
-        for i in range(0, len(f.s), step):
-            _gauss(y, z, *(c[i:i + step, None] for c in coef), out=out[i:i + step])
-        return out
-
-    est = disk_quadrature(integrand, a, rel_tol)
-    return np.clip(est, 0.0, 1.0)
+        return min(max(disk_quadrature(integrand, a, rel_tol), 0.0), 1.0)
+    return np.clip(disk_quadrature(integrand, a, rel_tol, len(f.s)), 0.0, 1.0)
 
 
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,

@@ -37,8 +37,9 @@ LOSS_KERNELS = ("exact", "approx_mean")
 
 # chunk size is part of the reproducibility contract: batched quadrature
 # converges a chunk jointly, so chunk composition must not depend on the
-# worker count.  The kernel's cache-sized row blocks inside a chunk do not
-# touch a trial's bits; the joint refinement level does.
+# worker count.  The exact kernel streams a chunk's integrand in cache-sized
+# row blocks, so its memory does not grow with the chunk, and the blocks do
+# not touch a trial's bits; the joint refinement level does.
 CHUNK = 1024
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)

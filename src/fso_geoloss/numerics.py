@@ -65,51 +65,43 @@ def _polar_rule(order: int, radius: float):
 _BASE_ORDER = 8
 _MAX_LEVEL = 6  # orders 8, 16, ..., 512
 
-# array elements per block of integrand rows (128 KB of float64): blocked
-# passes stay in L2 instead of streaming a full-size temporary each
+# array elements per block of integrand rows (128 KB of float64): each block
+# is filled and reduced while it is still in L2
 BLOCK = 1 << 14
 
 
-def _row_sums(vals, w, absolute: bool = False):
-    """np.sum(vals * w, axis=-1), or of |vals| * w, one BLOCK of rows at a
-    time.  Each row is the same pairwise ufunc sum as over the whole array,
-    so the bits do not depend on the blocking."""
-    if vals.ndim < 2:
-        return np.sum((np.abs(vals) if absolute else vals) * w, axis=-1)
-    rows = vals.reshape(-1, w.size)
-    out = np.empty(len(rows))
-    step = max(1, BLOCK // w.size)
-    for s in range(0, len(rows), step):
-        block = rows[s:s + step]
-        np.sum((np.abs(block) if absolute else block) * w, axis=-1, out=out[s:s + step])
-    return out.reshape(vals.shape[:-1])
+def _block_sums(f, y, z, w, n: int):
+    """Row sums of v*w and of |v*w| (= |v|*w bitwise, as w >= 0) for the n
+    rows v that f(y, z, rows) yields `BLOCK // len(y)` (at least one) at a
+    time, each the same pairwise ufunc sum as over a whole array."""
+    est, mass = np.empty(n), np.empty(n)
+    step = max(1, BLOCK // len(y))
+    prod = np.empty((step, len(y)))
+    for s in range(0, n, step):
+        rows = slice(s, min(s + step, n))
+        p = np.multiply(f(y, z, rows), w, out=prod[:rows.stop - s])
+        np.sum(p, axis=-1, out=est[rows])
+        np.sum(np.abs(p, out=p), axis=-1, out=mass[rows])
+    return est, mass
 
 
-def disk_quadrature(f, radius: float, rel_tol: float = 1e-9):
-    """Integrate f(y, z) over the disk y^2 + z^2 <= radius^2.
+def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
+    """Integrate f(y, z) over the disk y^2 + z^2 <= radius^2 (radius > 0).
 
-    Parameters
-    ----------
-    f : callable
-        Must accept equal-shape 1-D arrays (y, z) and return the integrand
-        values with shape (..., len(y)); a leading axis batches independent
-        integrands that are converged together.
-    radius : float
-        Disk radius, > 0.
-    rel_tol : float
-        Convergence target: successive doubled-order estimates must agree
-        to rel_tol in relative terms (with a tiny absolute floor).
+    f(y, z) takes equal-shape 1-D node arrays and returns the integrand
+    there.  With `n`, n integrands are converged together: f(y, z, rows)
+    returns integrands `rows` (a slice of range(n)) as a (rows, len(y))
+    block, reduced before the next call, so f may reuse one scratch buffer.
+    Successive doubled-order estimates must agree to `rel_tol` in relative
+    terms (with a tiny absolute floor).
 
-    Returns the estimate (scalar, or an array matching f's leading axes).
-    Raises QuadratureError if doubling the order `_MAX_LEVEL` times never
-    converges.  An integral cancelling to far below eps times the gross
-    mass integral(|f|) is resolved only to that rounding floor.
-
-    The weighted sums run one `BLOCK` of rows at a time, each row the same
-    pairwise ufunc sum as over the whole array.  The gross mass is summed
-    only when the relative test fails: it can only raise the tolerance, so
-    every convergence decision, and every bit returned, is as if it were
-    always summed.
+    Returns a float, or n estimates.  Raises QuadratureError if doubling the
+    order `_MAX_LEVEL` times never converges.  An integral cancelling to far
+    below eps times the gross mass integral(|f|) is resolved only to that
+    rounding floor.  With `n`, each block is summed with its gross mass while
+    in cache, and no (n, nodes) array exists; without, the gross mass is
+    summed only when the relative test fails, which changes no decision, as
+    it can only raise the tolerance.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
@@ -119,20 +111,23 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9):
     prev = None
     for level in range(_MAX_LEVEL + 1):
         y, z, w = _polar_rule(_BASE_ORDER << level, radius)
-        vals = np.asarray(f(y, z))
-        # ufunc reduction, not BLAS: bit-identical under concurrent callers
-        est = _row_sums(vals, w)
+        # ufunc reductions, not BLAS: bit-identical under concurrent callers
+        if n is None:
+            vals = np.asarray(f(y, z))
+            est = np.sum(vals * w, axis=-1)
+        else:
+            est, mass = _block_sums(f, y, z, w, n)
         if prev is not None:
             diff = np.abs(est - prev)
             rel = rel_tol * np.abs(est)
-            if np.all(diff <= rel + 1e-300) or np.all(
-                    diff <= np.maximum(rel, 1e-13 * _row_sums(vals, w, absolute=True)) + 1e-300):
-                return est if est.ndim else float(est)
+            if np.all(diff <= rel + 1e-300) or np.all(diff <= np.maximum(rel, 1e-13 * (
+                    np.sum(np.abs(vals) * w, axis=-1) if n is None else mass)) + 1e-300):
+                return float(est) if n is None else est
         prev = est
     raise QuadratureError(
         f"disk quadrature did not converge to rel_tol={rel_tol:g} "
         f"within {_MAX_LEVEL} refinements",
-        best_estimate=prev if prev.ndim else float(prev),
+        best_estimate=float(prev) if n is None else prev,
         last_diff=float(np.max(diff)),
     )
 

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -261,6 +263,45 @@ class TestMain:
         names = [row[0] for row in doc["rows"]]
         assert "bound_ordering" in names
         assert all(row[1] == "True" for row in doc["rows"])
+
+    @pytest.mark.parametrize("command, text", [
+        ("bounds", ""),
+        ("average-loss", "sweep.variable = sigma\nsweep.values = 0.5\nmc.n_trials = 10\n"),
+    ], ids=["bounds", "average-loss"])
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                      command, text, out):
+        # reported before any loss is computed, not as a traceback after
+        def computed(*_args, **_kwargs):
+            pytest.fail("a loss was computed")
+        monkeypatch.setattr(mc, "run_trials", computed)
+        monkeypatch.setattr(cli.geoloss_mod, "exact_loss", computed)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        argv = [command, "--config", str(cfgfile), "--out", str(tmp_path / out)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: output.path")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("text, crossed", [
+        # the README pose, a = 0.6 m against w = 0.49 m: the offset row crosses,
+        # the centred row's bounds differ by 6e-16 relative and do not count
+        (f"sweep.values = {math.pi / 4!r}\ndetector.radius_m = 0.6\n"
+         "bounds.offsets_m = 0.1:0.1;0:0\n", 1),
+        (None, 0),  # the seed-0 benchmark grid, a = 0.1 m
+    ], ids=["readme-pose", "bounds-table-seed-0"])
+    def test_bounds_meta_counts_crossed_rows(self, tmp_path, monkeypatch, capsys, text,
+                                             crossed):
+        if text is None:
+            monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+            text = importlib.import_module("workloads").config_text("bounds-table", 0)
+        cfgfile = tmp_path / "bounds.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--config", str(cfgfile), "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["crossed_bounds"], meta["crossed_approx_bounds"]) == (crossed, crossed)
 
     def test_malformed_thread_env_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "avg.cfg"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from fso_geoloss.geoloss import (
     exact_loss_batch,
     loss_db,
 )
-from fso_geoloss.montecarlo import sample_pose
+from fso_geoloss.montecarlo import CHUNK, _chunk_poses, sample_pose
 from fso_geoloss.numerics import BLOCK
 from fso_geoloss.stochastic import PoseDistribution
 
@@ -308,6 +309,21 @@ class TestBatchKernels:
         base = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
         shuffled = exact_loss_batch(*pose_arrays([poses[i] for i in perm]), BEAM, DET)
         assert shuffled.tobytes() == base[perm].tobytes()
+
+    def test_exact_batch_streams_its_integrand(self):
+        # a Fig-4 chunk at 1 mrad converges at order 32, where a whole
+        # (CHUNK, 2048) integrand would be 16 MiB; row blocks stay far below
+        d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8,
+                                            sigma_o=1e-3)
+        poses = _chunk_poses(d, 0, 0, CHUNK)
+        exact_loss_batch(*poses, BEAM, DET)  # caches the polar rules
+        tracemalloc.start()
+        try:
+            exact_loss_batch(*poses, BEAM, DET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_closed_form_is_the_one_pose_batch_bitwise(self):
         # one closed-form expression serves both: a pose's scalar values are

@@ -8,8 +8,8 @@ from fso_geoloss.numerics import (
     BLOCK,
     QuadratureError,
     SymMatrix2,
+    _block_sums,
     _polar_rule,
-    _row_sums,
     disk_quadrature,
     eig_sym2,
 )
@@ -121,10 +121,10 @@ class TestDiskQuadrature:
     def test_batched_integrands(self):
         radii = np.array([[1.0], [2.0]])
 
-        def f(y, z):
-            return np.exp(-(y * y + z * z) / radii**2)
+        def f(y, z, rows):
+            return np.exp(-(y * y + z * z) / radii[rows]**2)
 
-        vals = disk_quadrature(f, 3.0)
+        vals = disk_quadrature(f, 3.0, n=2)
         expected = [math.pi * r * r * (1 - math.exp(-9.0 / (r * r))) for r in (1.0, 2.0)]
         assert vals == pytest.approx(expected, rel=1e-9)
 
@@ -140,25 +140,33 @@ class TestDiskQuadrature:
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_row_blocked_sums_are_bitwise_whole_array_sums(self, order):
-        _y, _z, w = _polar_rule(order, 0.1)
+        y, z, w = _polar_rule(order, 0.1)
         rows = max(1, BLOCK // w.size)
         rng = np.random.default_rng(order)
         for n in {1, rows - 1, rows, rows + 1, 5 * rows + 3} - {0}:
             vals = rng.standard_normal((n, w.size)) * rng.uniform(1e-12, 1e3, (n, 1))
-            assert _row_sums(vals, w).tobytes() == np.sum(vals * w, axis=-1).tobytes()
-            assert (_row_sums(vals, w, absolute=True).tobytes()
-                    == np.sum(np.abs(vals) * w, axis=-1).tobytes())
+            # the integrand hands out row slices of vals, in one reused buffer
+            scratch = np.empty((rows, w.size))
+
+            def f(y, z, sl):
+                block = scratch[:sl.stop - sl.start]
+                block[...] = vals[sl]
+                return block
+
+            est, mass = _block_sums(f, y, z, w, n)
+            assert est.tobytes() == np.sum(vals * w, axis=-1).tobytes()
+            assert mass.tobytes() == np.sum(np.abs(vals) * w, axis=-1).tobytes()
 
     def test_cancelling_row_converges_through_gross_floor_in_a_batch(self):
-        # the y row integrates to 0, so only the 1e-13 * integral(|y|) floor,
-        # summed when the relative test fails, lets the batch converge
+        # the y row integrates to 0, so only the 1e-13 * integral(|y|) floor
+        # lets the batch converge
         radius, rel_tol = 1.0, 1e-9
         s2 = np.array([[0.25], [1.0], [4.0]])
 
-        def f(y, z):
-            return np.vstack([y, np.exp(-(y * y + z * z) / s2)])
+        def f(y, z, rows):
+            return np.vstack([y, np.exp(-(y * y + z * z) / s2)])[rows]
 
-        vals = disk_quadrature(f, radius, rel_tol)
+        vals = disk_quadrature(f, radius, rel_tol, n=4)
         assert vals.shape == (4,)
         assert abs(vals[0]) <= 1e-13 * 4.0 / 3.0 * radius**3
         expected = [math.pi * v * (1.0 - math.exp(-radius**2 / v)) for v in s2[:, 0]]
