@@ -26,7 +26,7 @@ from .beam import (
 )
 from .geometry import Pose
 from .geometry import footprint_center  # unused here; perfbench's tracing.TARGETS hooks geoloss.footprint_center
-from .numerics import disk_quadrature
+from .numerics import BLOCK, disk_quadrature, quadratic_basis
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -100,38 +100,44 @@ def _coords(p: Pose):
     return p.position.rx, p.position.ry, p.position.rz, p.orientation.theta, p.orientation.phi
 
 
-def _gauss(y, z, pref, c_y, c_z, c_yz, fy, fz, t):
-    """pref exp(-(c_y yt^2 + c_z zt^2 + c_yz yt zt)), yt = y - fy, zt = z - fz, in scratch t."""
-    yt, zt, q, r = t
-    np.subtract(y, fy, yt)
-    np.subtract(z, fz, zt)
-    np.multiply(np.multiply(c_y, yt, q), yt, q)
-    q += np.multiply(np.multiply(c_z, zt, r), zt, r)
-    q += np.multiply(np.multiply(c_yz, yt, r), zt, r)
-    return np.multiply(pref, np.exp(np.negative(q, q), q), q)
-
-
 def _capture(f: _Form, a: float, rel_tol: float):
     """Form f's projected intensity 2 s / (pi w^2) exp(-2 (rho_y yt^2 + rho_z
     zt^2 + 2 rho_yz yt zt) / w^2), (yt, zt) = (y - fy, z - fz), integrated
     over the radius-`a` disk and clipped to [0, 1]: a float for a float form,
     n losses for (n,) arrays, whose row blocks `disk_quadrature` streams.
-    Both fill this call's scratch through `_gauss`, the same operations on
-    the same operands, so a trial's bits do not depend on its row."""
+
+    The exponent, log prefactor included, is expanded into one coefficient
+    row per pose against `quadratic_basis`' (y^2, z^2, yz, y, z, 1), so each
+    block is one matrix product into this call's scratch and one in-place
+    exp.  A pose's bits do not depend on its row: a lone row (the float path
+    included) is doubled, as a 1-row product takes BLAS's matrix-vector path,
+    whose bits differ, and no product has more than `BLOCK` elements, far
+    below the size at which BLAS spreads one over threads."""
     w2 = f.w * f.w
-    coef = (f.s * 2.0 / (math.pi * w2), f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2,
-            f.rho_yz * 4.0 / w2, f.fy, f.fz)
-    t = ()
+    c_y, c_z, c_yz = f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2, f.rho_yz * 4.0 / w2
+    fy, fz = f.fy, f.fz
+    coef = (-c_y, -c_z, -c_yz, 2.0 * c_y * fy + c_yz * fz, 2.0 * c_z * fz + c_yz * fy,
+            np.log(f.s * 2.0 / (math.pi * w2))
+            - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz))
+    batch = isinstance(f.s, np.ndarray)
+    coef = np.stack(coef, axis=-1) if batch else np.array((coef, coef))
+    v = np.empty((0, 0))
 
     def integrand(y, z, rows=None):
-        nonlocal t
-        c = coef if rows is None else [v[rows, None] for v in coef]
-        shape = y.shape if rows is None else (len(c[0]), len(y))
-        if not t or t[0].shape != shape:
-            t = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
-        return _gauss(y, z, *c, t)
+        nonlocal v
+        c = coef if rows is None else coef[rows]
+        k = len(c) if batch else 1
+        if len(c) == 1:
+            c = np.concatenate((c, c))
+        if len(v) < len(c) or v.shape[1] != len(y):
+            v = np.empty((len(c), len(y)))
+        basis, step = quadratic_basis(len(y), a), BLOCK // len(c)
+        for s in range(0, len(y), step):
+            np.matmul(c, basis[:, s:s + step], out=v[:len(c), s:s + step])
+        np.exp(v[:k], out=v[:k])
+        return v[:k] if batch else v[0]
 
-    if not isinstance(f.s, np.ndarray):
+    if not batch:
         return min(max(disk_quadrature(integrand, a, rel_tol), 0.0), 1.0)
     return np.clip(disk_quadrature(integrand, a, rel_tol, len(f.s)), 0.0, 1.0)
 

@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Philox
@@ -113,6 +114,14 @@ def resolve_threads(threads: int | None = None) -> int:
     return max(1, threads)
 
 
+@lru_cache(maxsize=4)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor with `workers` threads, kept across runs, so
+    repeated runs reuse the same threads instead of starting new ones.  An
+    evicted executor's idle threads exit once nothing refers to it."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndarray:
     """Pose perturbations for trials [start, start+count), shape (count, 5).
 
@@ -209,10 +218,9 @@ def run_trials(plan: TrialPlan, threads: int | None = None):
     def work(start: int):
         return start, _chunk_losses(plan, start, min(CHUNK, n - start))
 
-    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
-        for start, (losses, bad) in pool.map(work, range(0, n, CHUNK)):
-            samples[start:start + len(losses)] = losses
-            degenerate += bad
+    for start, (losses, bad) in _pool(resolve_threads(threads)).map(work, range(0, n, CHUNK)):
+        samples[start:start + len(losses)] = losses
+        degenerate += bad
 
     return samples, summarize(samples, degenerate)
 

@@ -1,4 +1,4 @@
-"""Disk quadrature and a 2x2 symmetric eigensolver.
+"""Disk quadrature, its nodes' quadratic basis, and a 2x2 symmetric eigensolver.
 
 The model's special functions (erf, the scaled Bessel function i0e) come
 from `scipy.special`.  Everything here is pure and deterministic: identical
@@ -62,6 +62,16 @@ def _polar_rule(order: int, radius: float):
     return y, z, w
 
 
+@lru_cache(maxsize=32)
+def quadratic_basis(nodes: int, radius: float):
+    """Rows (y^2, z^2, yz, y, z, 1) at the nodes of `_polar_rule`'s
+    `nodes`-node rule (order sqrt(nodes / 2)) on the radius-`radius` disk,
+    a (6, nodes) array: a quadratic in (y, z) with coefficients in that
+    order is one matrix product with it."""
+    y, z, _ = _polar_rule(math.isqrt(nodes // 2), radius)
+    return np.stack((y * y, z * z, y * z, y, z, np.ones_like(y)))
+
+
 _BASE_ORDER = 8
 _MAX_LEVEL = 6  # orders 8, 16, ..., 512
 
@@ -111,7 +121,8 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
     prev = None
     for level in range(_MAX_LEVEL + 1):
         y, z, w = _polar_rule(_BASE_ORDER << level, radius)
-        # ufunc reductions, not BLAS: bit-identical under concurrent callers
+        # the sums are ufunc reductions, not BLAS: bit-identical under
+        # concurrent callers (an integrand's BLAS products answer for their own bits)
         if n is None:
             vals = np.asarray(f(y, z))
             est = np.sum(vals * w, axis=-1)

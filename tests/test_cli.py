@@ -386,13 +386,39 @@ class TestValidateMutationDetection:
             exact_loss(mirrored, beam, det), rel=1e-9)
 
 
+def child_env(**extra):
+    """This process's environment plus `extra`, with the package importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestStartup:
     def test_import_loads_neither_scipy_stats_nor_integrate(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = ("import sys, fso_geoloss.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        run = subprocess.run([sys.executable, "-c", code], env=env,
+        run = subprocess.run([sys.executable, "-c", code], env=child_env(),
                              capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "[]"
+
+
+class TestBlasThreads:
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # the exact kernel's exponent is a BLAS matrix product; at the
+        # criterion-8 config, 1 and 2 OpenBLAS threads write the same bytes
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "geometry.alpha_rad = 0.39269908169872414\n"
+            "geometry.beta_rad = 1.9634954084936207\n"
+            "sweep.variable = sigma\nsweep.values = 0.2,0.5\n"
+            "sweep.sigma_unit = mrad\nmc.n_trials = 4096\nmc.seed = 11\n")
+        out = tmp_path / "exp.csv"  # the table echoes its output path
+        blobs = []
+        for blas_threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "fso_geoloss.cli", "average-loss",
+                 "--config", str(cfgfile), "--out", str(out)],
+                env=child_env(OPENBLAS_NUM_THREADS=blas_threads, FSO_GEOLOSS_THREADS="2"),
+                capture_output=True, text=True, check=True)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]

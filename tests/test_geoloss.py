@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fso_geoloss import geoloss as geoloss_mod
-from fso_geoloss.beam import BeamParams, beam_width
+from fso_geoloss.beam import BeamParams, beam_width, intensity_on_pd
 from fso_geoloss.geometry import (
     DegenerateGeometryError,
     Orientation,
@@ -33,7 +33,7 @@ from fso_geoloss.geoloss import (
     loss_db,
 )
 from fso_geoloss.montecarlo import CHUNK, _chunk_poses, sample_pose
-from fso_geoloss.numerics import BLOCK
+from fso_geoloss.numerics import BLOCK, QuadratureError, disk_quadrature
 from fso_geoloss.stochastic import PoseDistribution
 
 BEAM = BeamParams(w0=1e-3, wavelength=1550e-9, cn2=1e-14)
@@ -44,6 +44,13 @@ def tracked_pose(radius, alpha, beta, fy=0.0, fz=0.0):
     mu = spherical_mean_position(radius, alpha, beta)
     orient = tracking_orientation(mu)
     return Pose(Position(mu.rx, mu.ry + fy, mu.rz + fz), orient)
+
+
+def fig4_poses(n):
+    """Trials 0..n-1 of the Fig-4 geometry at sigma_o = 1 mrad, seed 0; a
+    batch of them converges at order 32 (2048 nodes, 8-row blocks)."""
+    d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8, sigma_o=1e-3)
+    return [sample_pose(d, 0, i) for i in range(n)]
 
 
 def pose_arrays(poses):
@@ -302,13 +309,61 @@ class TestBatchKernels:
         # at 1 mrad the batch converges at order 32 (2048 nodes), where these
         # poses span four row blocks of the integrand and of its sums
         n = 3 * (BLOCK // 2048) + 5
-        d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8,
-                                            sigma_o=1e-3)
-        poses = [sample_pose(d, 0, i) for i in range(n)]
+        poses = fig4_poses(n)
         perm = np.random.default_rng(8).permutation(n)
         base = exact_loss_batch(*pose_arrays(poses), BEAM, DET)
         shuffled = exact_loss_batch(*pose_arrays([poses[i] for i in perm]), BEAM, DET)
         assert shuffled.tobytes() == base[perm].tobytes()
+
+    def test_exact_batch_bits_do_not_depend_on_block_rows(self):
+        # at order 32 these poses fill three 8-row blocks and one 1-row
+        # block; rolling by one moves a pose between a full and a lone block
+        arrays = pose_arrays(fig4_poses(3 * (BLOCK // 2048) + 1))
+        base = exact_loss_batch(*arrays, BEAM, DET)
+        rolled = exact_loss_batch(*(np.roll(v, 1) for v in arrays), BEAM, DET)
+        assert rolled.tobytes() == np.roll(base, 1).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:far-field")
+    def test_every_exponent_product_has_two_rows_and_at_most_a_block(self, monkeypatch):
+        # a 1-row product takes BLAS's matrix-vector path, and a large one
+        # may be spread over threads; either could change a pose's bits
+        shapes = []
+        matmul = np.matmul
+
+        def spy(c, basis, **kwargs):
+            shapes.append((len(c), basis.shape[1]))
+            return matmul(c, basis, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        exact_loss_batch(*pose_arrays(fig4_poses(3 * (BLOCK // 2048) + 1)), BEAM, DET)
+        # a beam 100 times narrower than the detector, off its centre, runs
+        # the rule up to order 512 before the quadrature gives up
+        w = beam_width(BEAM, 1000.0)
+        with pytest.raises(QuadratureError):
+            exact_loss(tracked_pose(1000.0, 0.0, math.pi / 2, fy=50.0 * w), BEAM,
+                       DetectorParams(100.0 * w))
+        assert max(cols for _, cols in shapes) == BLOCK // 2
+        assert all(rows >= 2 and rows * cols <= BLOCK for rows, cols in shapes)
+
+    @pytest.mark.filterwarnings("ignore:far-field")
+    @pytest.mark.parametrize("alpha, beta", [(0.0, math.pi / 2),
+                                             (math.pi / 8, 5 * math.pi / 8)])
+    def test_exact_loss_at_far_offsets_matches_the_oracle(self, alpha, beta):
+        # the expanded exponent keeps rel_tol down to losses near 1e-300 (an
+        # offset of ~20 beam widths) and underflows where the oracle does
+        det = DetectorParams(0.6)
+        w = beam_width(BEAM, 1000.0)
+        refs = []
+        for k in (3, 4, 6, 8, 12, 16, 18, 20, 21, 24):
+            for ang in (0.0, 0.7, math.pi / 2, 2.5, 4.0):
+                pose = tracked_pose(1000.0, alpha, beta, fy=k * w * math.cos(ang),
+                                    fz=k * w * math.sin(ang))
+                got = exact_loss(pose, BEAM, det)
+                ref = disk_quadrature(
+                    lambda y, z: intensity_on_pd((y, z), pose, BEAM), det.a)
+                assert got == pytest.approx(ref, rel=geoloss_mod.DEFAULT_REL_TOL, abs=0.0)
+                refs.append(ref)
+        assert 0.0 in refs and min(r for r in refs if r) < 1e-300
 
     def test_exact_batch_streams_its_integrand(self):
         # a Fig-4 chunk at 1 mrad converges at order 32, where a whole
