@@ -59,7 +59,7 @@ class GofInconclusiveError(RuntimeError):
 
 
 class ThreadsEnvError(ValueError):
-    """`THREADS_ENV` is set to something other than an integer."""
+    """`THREADS_ENV` is set to something other than a positive integer."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,18 @@ class Histogram:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread count: explicit argument, else the env cap, else 1."""
+    """Worker-thread count: explicit argument, else the env cap, else 1.
+    An env value below 1 is an error, not a request for one thread (an
+    explicit one fails in the executor)."""
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "1")
         try:
             threads = int(raw)
         except ValueError:
-            raise ThreadsEnvError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, threads)
+            threads = 0  # as invalid as a count below 1
+        if threads < 1:
+            raise ThreadsEnvError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
 @lru_cache(maxsize=4)

@@ -64,12 +64,13 @@ def _polar_rule(order: int, radius: float):
 
 @lru_cache(maxsize=32)
 def quadratic_basis(nodes: int, radius: float):
-    """Rows (y^2, z^2, yz, y, z, 1) at the nodes of `_polar_rule`'s
+    """Rows (y^2, z^2, yz, y, z, 1, log w) at the nodes of `_polar_rule`'s
     `nodes`-node rule (order sqrt(nodes / 2)) on the radius-`radius` disk,
-    a (6, nodes) array: a quadratic in (y, z) with coefficients in that
-    order is one matrix product with it."""
-    y, z, _ = _polar_rule(math.isqrt(nodes // 2), radius)
-    return np.stack((y * y, z * z, y * z, y, z, np.ones_like(y)))
+    a (7, nodes) array.  A Gaussian's exponent, its coefficients in that
+    order with a 1 for log w, is one matrix product with it, and the exp of
+    that is the Gaussian times the rule's weights (all positive)."""
+    y, z, w = _polar_rule(math.isqrt(nodes // 2), radius)
+    return np.stack((y * y, z * z, y * z, y, z, np.ones_like(y), np.log(w)))
 
 
 _BASE_ORDER = 8
@@ -81,26 +82,31 @@ BLOCK = 1 << 14
 
 
 def _block_sums(f, y, z, w, n: int):
-    """Row sums of v*w and of |v*w| (= |v|*w bitwise, as w >= 0) for the n
-    rows v that f(y, z, rows) yields `BLOCK // len(y)` (at least one) at a
-    time, each the same pairwise ufunc sum as over a whole array."""
+    """Row sums of p and of |p| for the n weighted rows p that f(y, z, w,
+    rows) yields `BLOCK // len(y)` (at least one) at a time, each the same
+    pairwise ufunc sum as over a whole array.  A block with no negative
+    value has its sums as its gross mass (bitwise sum(|p|)); only other
+    blocks take abs and a second sum."""
     est, mass = np.empty(n), np.empty(n)
     step = max(1, BLOCK // len(y))
-    prod = np.empty((step, len(y)))
     for s in range(0, n, step):
         rows = slice(s, min(s + step, n))
-        p = np.multiply(f(y, z, rows), w, out=prod[:rows.stop - s])
+        p = f(y, z, w, rows)
         np.sum(p, axis=-1, out=est[rows])
-        np.sum(np.abs(p, out=p), axis=-1, out=mass[rows])
+        if p.min() >= 0.0:
+            mass[rows] = est[rows]
+        else:
+            np.sum(np.abs(p), axis=-1, out=mass[rows])
     return est, mass
 
 
 def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
-    """Integrate f(y, z) over the disk y^2 + z^2 <= radius^2 (radius > 0).
+    """Integrate an integrand over the disk y^2 + z^2 <= radius^2 (radius > 0).
 
-    f(y, z) takes equal-shape 1-D node arrays and returns the integrand
-    there.  With `n`, n integrands are converged together: f(y, z, rows)
-    returns integrands `rows` (a slice of range(n)) as a (rows, len(y))
+    f(y, z, w) takes equal-shape 1-D node and weight arrays and returns the
+    integrand there times w, so the estimate is the sum of what f returns.
+    With `n`, n integrands are converged together: f(y, z, w, rows) returns
+    integrands `rows` (a slice of range(n)), times w, as a (rows, len(y))
     block, reduced before the next call, so f may reuse one scratch buffer.
     Successive doubled-order estimates must agree to `rel_tol` in relative
     terms (with a tiny absolute floor).
@@ -124,15 +130,15 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
         # the sums are ufunc reductions, not BLAS: bit-identical under
         # concurrent callers (an integrand's BLAS products answer for their own bits)
         if n is None:
-            vals = np.asarray(f(y, z))
-            est = np.sum(vals * w, axis=-1)
+            vals = np.asarray(f(y, z, w))
+            est = np.sum(vals, axis=-1)
         else:
             est, mass = _block_sums(f, y, z, w, n)
         if prev is not None:
             diff = np.abs(est - prev)
             rel = rel_tol * np.abs(est)
             if np.all(diff <= rel + 1e-300) or np.all(diff <= np.maximum(rel, 1e-13 * (
-                    np.sum(np.abs(vals) * w, axis=-1) if n is None else mass)) + 1e-300):
+                    np.sum(np.abs(vals), axis=-1) if n is None else mass)) + 1e-300):
                 return float(est) if n is None else est
         prev = est
     raise QuadratureError(

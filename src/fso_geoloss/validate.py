@@ -91,9 +91,9 @@ def check_disk_rotation_invariance(rel_tol: float) -> CheckResult:
     w2 = 0.2
     def make(rot):
         c, s = math.cos(rot), math.sin(rot)
-        def f(y, z):
+        def f(y, z, w):
             yr, zr = c * y - s * z + 0.04, s * y + c * z - 0.03
-            return np.exp(-(1.3 * yr * yr + 0.6 * zr * zr + 0.4 * yr * zr) / w2)
+            return np.exp(-(1.3 * yr * yr + 0.6 * zr * zr + 0.4 * yr * zr) / w2) * w
         return f
     base = numerics.disk_quadrature(make(0.0), 0.1, rel_tol)
     worst = max(
@@ -169,7 +169,7 @@ def check_energy_conservation(rel_tol: float) -> CheckResult:
         w = beam_mod.beam_width(DEFAULT_BEAM, mu.norm())
         radius = 6.0 * w * math.sqrt(ep.rho_max)
         total = numerics.disk_quadrature(
-            lambda y, z: beam_mod.intensity_on_pd((y, z), pose, DEFAULT_BEAM),
+            lambda y, z, wt: beam_mod.intensity_on_pd((y, z), pose, DEFAULT_BEAM) * wt,
             radius, rel_tol)
         worst = max(worst, abs(total - 1.0))
     return CheckResult("energy_conservation", worst <= tol,

@@ -86,7 +86,7 @@ class TestIntensityOrthogonal:
         w = beam_width(DEFAULT, 1000.0)
         a = 0.1
         val = disk_quadrature(
-            lambda y, z: intensity_orthogonal(DEFAULT, 1000.0, np.hypot(y, z)), a)
+            lambda y, z, wt: intensity_orthogonal(DEFAULT, 1000.0, np.hypot(y, z)) * wt, a)
         assert val == pytest.approx(1 - math.exp(-2 * a * a / (w * w)), rel=1e-9)
 
 
@@ -155,7 +155,7 @@ class TestIntensityOnPd:
             w = beam_width(DEFAULT, pos.norm())
             radius = 6.0 * w * math.sqrt(ep.rho_max)
             total = disk_quadrature(
-                lambda y, z: intensity_on_pd((y, z), pose, DEFAULT), radius)
+                lambda y, z, wt: intensity_on_pd((y, z), pose, DEFAULT) * wt, radius)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_far_field_warning(self):

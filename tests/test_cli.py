@@ -311,6 +311,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "FSO_GEOLOSS_THREADS" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_env_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    threads):
+        # once read as "at least one thread"; the command must stop before it runs
+        cfgfile = tmp_path / "avg.cfg"
+        cfgfile.write_text("sweep.variable = sigma\nsweep.values = 0.5\nmc.n_trials = 10\n")
+        monkeypatch.setenv("FSO_GEOLOSS_THREADS", threads)
+        assert main(["average-loss", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "FSO_GEOLOSS_THREADS" in err
+        assert "must be a positive integer" in err
+
     @pytest.mark.parametrize("command, text, flags", [
         ("bounds", b"geometry.R_m = 800\xff\n", []),
         ("average-loss", b"sweep.variable = sigma\nsweep.values = 0.5\nmc.n_trials = 10\n",

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_geoloss import geoloss as geoloss_mod
 from fso_geoloss.beam import BeamParams, beam_width, intensity_on_pd
@@ -12,6 +15,7 @@ from fso_geoloss.geometry import (
     Orientation,
     Pose,
     Position,
+    direction_from_angles,
     footprint_center,
     incidence_angle,
     spherical_mean_position,
@@ -278,6 +282,75 @@ class TestMonotoneDecay:
             assert all(a >= b - 1e-15 for a, b in zip(am, am[1:]))
 
 
+def oblique_pose(theta, phi, u, ang, dist=1000.0):
+    """Orientation (theta, phi) from about `dist` away, its beam line
+    meeting the detector plane at offset u in direction ang."""
+    fy, fz = u * math.cos(ang), u * math.sin(ang)
+    d = direction_from_angles(Orientation(theta, phi))
+    return Pose(Position(dist * d[0], fy + dist * d[1], fz + dist * d[2]),
+                Orientation(theta, phi))
+
+
+def one_pose_batch(kernel, pose, det):
+    """`kernel`'s value for `pose` through the (1,)-array pose derivation,
+    and so through `_capture`'s batch path."""
+    pose_form = geoloss_mod._pose_form
+
+    def batched(*args):
+        *coords, b = args
+        return pose_form(*(np.array([c], float) for c in coords), b)
+
+    with mock.patch.object(geoloss_mod, "_pose_form", batched):
+        return kernel(pose, BEAM, det)[0]
+
+
+_WIDTH = beam_width(BEAM, 1000.0)
+# phi within 1e-3 of 0 or pi, theta within 1e-3 of pi/2: grazing on both
+# sides of DEGENERACY_TOL; elsewhere anything not grazing
+_EDGE = st.floats(1e-15, 1e-3)
+_PHI = st.one_of(st.floats(0.05, math.pi - 0.05), _EDGE, _EDGE.map(lambda e: math.pi - e))
+_THETA = st.one_of(st.floats(0.0, 2 * math.pi),
+                   st.floats(-1e-3, 1e-3).map(lambda e: math.pi / 2 + e))
+
+
+@pytest.mark.filterwarnings("ignore:far-field")
+class TestProperties:
+    """Over a/w in [0.01, 2], offsets up to 20 beam widths and grazing
+    incidence (20 widths is where the far-field check starts to warn)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(a_w=st.floats(0.01, 2.0), u_w=st.floats(0.0, 20.0),
+           ang=st.floats(0.0, 2 * math.pi), theta=_THETA, phi=_PHI)
+    def test_losses_are_in_unit_interval_and_their_one_pose_batch(self, a_w, u_w, ang,
+                                                                 theta, phi):
+        pose = oblique_pose(theta, phi, u_w * _WIDTH, ang)
+        det = DetectorParams(a_w * _WIDTH)
+        for kernel in (exact_loss, bound_lower, bound_upper):
+            try:
+                val = kernel(pose, BEAM, det)
+            except DegenerateGeometryError:
+                with pytest.raises(DegenerateGeometryError):
+                    one_pose_batch(kernel, pose, det)
+                continue
+            assert type(val) is float and 0.0 <= val <= 1.0
+            assert val == one_pose_batch(kernel, pose, det)
+            if kernel is exact_loss:
+                assert val == exact_loss_batch(*pose_arrays([pose]), BEAM, det)[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(a_w=st.floats(0.01, 2.0), ang=st.floats(0.0, 2 * math.pi),
+           u_w=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6))
+    def test_exact_loss_is_non_increasing_in_offset_at_orthogonal_incidence(self, a_w,
+                                                                            ang, u_w):
+        # non-increasing to within the kernel's own relative accuracy, as two
+        # close offsets may converge at different orders
+        det = DetectorParams(a_w * _WIDTH)
+        losses = [exact_loss(oblique_pose(0.0, math.pi / 2, u * _WIDTH, ang), BEAM, det)
+                  for u in sorted(u_w)]
+        tol = geoloss_mod.DEFAULT_REL_TOL
+        assert all(b <= a * (1.0 + tol) for a, b in zip(losses, losses[1:]))
+
+
 class TestBatchKernels:
     def test_exact_batch_matches_scalar(self):
         poses = [tracked_pose(1000.0, a, b, fy=f)
@@ -360,7 +433,7 @@ class TestBatchKernels:
                                     fz=k * w * math.sin(ang))
                 got = exact_loss(pose, BEAM, det)
                 ref = disk_quadrature(
-                    lambda y, z: intensity_on_pd((y, z), pose, BEAM), det.a)
+                    lambda y, z, wt: intensity_on_pd((y, z), pose, BEAM) * wt, det.a)
                 assert got == pytest.approx(ref, rel=geoloss_mod.DEFAULT_REL_TOL, abs=0.0)
                 refs.append(ref)
         assert 0.0 in refs and min(r for r in refs if r) < 1e-300

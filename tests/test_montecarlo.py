@@ -74,6 +74,11 @@ class TestRunTrials:
         assert np.array_equal(s1, s8)
         assert st1 == st8
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_is_rejected(self, threads):
+        with pytest.raises(ValueError):
+            run_trials(plan_for(n=10), threads=threads)
+
     def test_trials_match_per_trial_streams(self):
         plan = plan_for(n=40, sigma_p=0.01, sigma_o=1e-4, kernel="exact")
         samples, _ = run_trials(plan)

@@ -86,17 +86,18 @@ class TestBesselI0:
 class TestDiskQuadrature:
     def test_constant_gives_area(self):
         radius = 0.37
-        val = disk_quadrature(lambda y, z: np.ones_like(y), radius)
+        val = disk_quadrature(lambda y, z, w: w, radius)
         assert val == pytest.approx(math.pi * radius**2, rel=1e-12)
 
     def test_odd_integrand_vanishes(self):
-        val = disk_quadrature(lambda y, z: y, 1.3)
+        val = disk_quadrature(lambda y, z, w: y * w, 1.3)
         assert abs(val) < 1e-12
 
     def test_centered_gaussian_closed_form(self):
         w, a = 0.4934910867329322, 0.1
         val = disk_quadrature(
-            lambda y, z: 2.0 / (math.pi * w * w) * np.exp(-2.0 * (y * y + z * z) / (w * w)),
+            lambda y, z, wt: 2.0 / (math.pi * w * w)
+            * np.exp(-2.0 * (y * y + z * z) / (w * w)) * wt,
             a)
         assert val == pytest.approx(1.0 - math.exp(-2.0 * a * a / (w * w)), rel=1e-10)
 
@@ -106,10 +107,10 @@ class TestDiskQuadrature:
         def make(rot):
             c, s = math.cos(rot), math.sin(rot)
 
-            def f(y, z):
+            def f(y, z, w):
                 yr = c * y - s * z + 0.03
                 zr = s * y + c * z - 0.05
-                return np.exp(-(2.1 * yr * yr + 0.7 * zr * zr + 0.9 * yr * zr))
+                return np.exp(-(2.1 * yr * yr + 0.7 * zr * zr + 0.9 * yr * zr)) * w
 
             return f
 
@@ -121,22 +122,22 @@ class TestDiskQuadrature:
     def test_batched_integrands(self):
         radii = np.array([[1.0], [2.0]])
 
-        def f(y, z, rows):
-            return np.exp(-(y * y + z * z) / radii[rows]**2)
+        def f(y, z, w, rows):
+            return np.exp(-(y * y + z * z) / radii[rows]**2) * w
 
         vals = disk_quadrature(f, 3.0, n=2)
         expected = [math.pi * r * r * (1 - math.exp(-9.0 / (r * r))) for r in (1.0, 2.0)]
         assert vals == pytest.approx(expected, rel=1e-9)
 
     def test_deterministic(self):
-        f = lambda y, z: np.exp(-(y - 0.2) ** 2 - z**2)
+        f = lambda y, z, w: np.exp(-(y - 0.2) ** 2 - z**2) * w
         assert disk_quadrature(f, 0.9) == disk_quadrature(f, 0.9)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            disk_quadrature(lambda y, z: y, -1.0)
+            disk_quadrature(lambda y, z, w: y * w, -1.0)
         with pytest.raises(ValueError):
-            disk_quadrature(lambda y, z: y, 1.0, rel_tol=2.0)
+            disk_quadrature(lambda y, z, w: y * w, 1.0, rel_tol=2.0)
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_row_blocked_sums_are_bitwise_whole_array_sums(self, order):
@@ -145,13 +146,13 @@ class TestDiskQuadrature:
         rng = np.random.default_rng(order)
         for n in {1, rows - 1, rows, rows + 1, 5 * rows + 3} - {0}:
             vals = rng.standard_normal((n, w.size)) * rng.uniform(1e-12, 1e3, (n, 1))
-            # the integrand hands out row slices of vals, in one reused buffer
+            # the first block is non-negative, so its gross mass is its sum
+            vals[:rows] = np.abs(vals[:rows])
+            # the integrand hands out row slices of vals * w, in one reused buffer
             scratch = np.empty((rows, w.size))
 
-            def f(y, z, sl):
-                block = scratch[:sl.stop - sl.start]
-                block[...] = vals[sl]
-                return block
+            def f(y, z, wt, sl):
+                return np.multiply(vals[sl], wt, out=scratch[:sl.stop - sl.start])
 
             est, mass = _block_sums(f, y, z, w, n)
             assert est.tobytes() == np.sum(vals * w, axis=-1).tobytes()
@@ -163,8 +164,8 @@ class TestDiskQuadrature:
         radius, rel_tol = 1.0, 1e-9
         s2 = np.array([[0.25], [1.0], [4.0]])
 
-        def f(y, z, rows):
-            return np.vstack([y, np.exp(-(y * y + z * z) / s2)])[rows]
+        def f(y, z, w, rows):
+            return np.vstack([y, np.exp(-(y * y + z * z) / s2)])[rows] * w
 
         vals = disk_quadrature(f, radius, rel_tol, n=4)
         assert vals.shape == (4,)
@@ -174,7 +175,7 @@ class TestDiskQuadrature:
 
     def test_nonconvergence_reports_best_estimate(self):
         # highly oscillatory integrand that never meets an absurd tolerance
-        f = lambda y, z: np.sin(4000.0 * y) * np.cos(3777.0 * z)
+        f = lambda y, z, w: np.sin(4000.0 * y) * np.cos(3777.0 * z) * w
         with pytest.raises(QuadratureError) as err:
             disk_quadrature(f, 1.0, rel_tol=1e-15)
         assert hasattr(err.value, "best_estimate")
