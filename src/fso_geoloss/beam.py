@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Orientation, Pose, footprint_center, incidence_angle
+from .geometry import Orientation, Pose, footprint_center, incidence_angle, incidence_sine
 
 # far-field validity: the source distance must dominate both the footprint
 # offset and the evaluation-point radius by this factor
@@ -122,8 +122,8 @@ def ellipse_params(o: Orientation) -> EllipseParams:
     """Contour-ellipse description for a beam with orientation `o`."""
     psi = incidence_angle(o)
     rho_y, rho_z, rho_yz = ellipse_coefficients(o.theta, o.phi)
-    det = (math.sin(o.phi) * math.cos(o.theta)) ** 2
-    rho_min, rho_max = ellipse_axes(rho_y, rho_z, rho_yz, det)
+    s, _ = incidence_sine(o.theta, o.phi)
+    rho_min, rho_max = ellipse_axes(rho_y, rho_z, rho_yz, s * s)
     if rho_yz == 0.0:
         rotation = 0.0
     else:

@@ -82,12 +82,10 @@ _Form = namedtuple("_Form", "s fy fz u rho_y rho_z rho_yz rho_min rho_max dist w
 
 
 def _pose_form(rx, ry, rz, theta, phi, b: BeamParams) -> _Form:
-    """Kernel inputs, elementwise over float or (n,) array pose coordinates;
-    raises DegenerateGeometryError if any pose grazes the detector plane."""
-    s = np.abs(np.sin(phi) * np.cos(theta))
-    if (s < geometry.DEGENERACY_TOL).any():
-        raise geometry.DegenerateGeometryError(
-            f"beam parallel to detector plane (|sin(phi)*cos(theta)|={np.min(s):.3e})")
+    """Kernel inputs, elementwise over float or (n,) array pose coordinates,
+    with the incidence sine s computed once, by `geometry`'s grazing rule,
+    which raises DegenerateGeometryError if any pose grazes the detector plane."""
+    s = geometry.checked_incidence_sine(theta, phi)
     fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
     rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
     rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, s * s)

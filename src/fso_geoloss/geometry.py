@@ -78,18 +78,27 @@ def direction_from_angles(o: Orientation) -> np.ndarray:
     return np.array([sp * math.cos(o.theta), sp * math.sin(o.theta), math.cos(o.phi)])
 
 
-def incidence_angle(o: Orientation) -> float:
-    """Angle psi between the beam line and the detector plane, in (0, pi/2].
+def incidence_sine(theta, phi):
+    """The one pose-validity rule: s = |sin(phi) cos(theta)|, elementwise over
+    float or array angles, and where the beam grazes the detector plane."""
+    s = np.abs(np.sin(phi) * np.cos(theta))
+    return s, s < DEGENERACY_TOL
 
-    The absolute value makes psi independent of which half-space the beam
-    arrives from, so the projected intensity stays non-negative.
-    """
-    s = math.sin(o.phi) * math.cos(o.theta)
-    if abs(s) < DEGENERACY_TOL:
+
+def checked_incidence_sine(theta, phi):
+    """`incidence_sine`'s s; raises DegenerateGeometryError if any pose grazes."""
+    s, grazes = incidence_sine(theta, phi)
+    if grazes.any():
         raise DegenerateGeometryError(
-            f"beam parallel to detector plane (sin(phi)*cos(theta)={s:.3e})"
-        )
-    return math.asin(min(1.0, abs(s)))
+            f"beam parallel to detector plane (|sin(phi)*cos(theta)|={np.min(s):.3e})")
+    return s
+
+
+def incidence_angle(o: Orientation) -> float:
+    """Angle psi in (0, pi/2] between the beam line and the detector plane,
+    asin(s): as s is an absolute value, psi does not depend on which
+    half-space the beam arrives from, and the projected intensity is >= 0."""
+    return math.asin(min(1.0, float(checked_incidence_sine(o.theta, o.phi))))
 
 
 def footprint_yz(rx, ry, rz, theta, phi):
@@ -98,14 +107,10 @@ def footprint_yz(rx, ry, rz, theta, phi):
 
 
 def footprint_center(p: Pose) -> FootprintCenter:
-    """Intersection of the beam line with the detector plane x = 0."""
+    """Intersection of the beam line with the detector plane x = 0; raises
+    DegenerateGeometryError for a grazing beam, which never meets it."""
     o = p.orientation
-    ct = math.cos(o.theta)
-    sp = math.sin(o.phi)
-    if abs(ct) < DEGENERACY_TOL or abs(sp) < DEGENERACY_TOL:
-        raise DegenerateGeometryError(
-            f"footprint undefined: cos(theta)={ct:.3e}, sin(phi)={sp:.3e}"
-        )
+    checked_incidence_sine(o.theta, o.phi)
     r = p.position
     return FootprintCenter(*map(float, footprint_yz(r.rx, r.ry, r.rz, o.theta, o.phi)))
 
@@ -114,16 +119,14 @@ def tracking_orientation(mu_r: Position) -> Orientation:
     """Mean orientation that points the beam line through the detector center.
 
     theta follows the two-branch arctangent (branch switch at mu_x = 0);
-    phi is the polar angle of the position vector, which is the choice that
-    actually closes the loop: footprint_center(mu_r, result) == (0, 0).
+    phi is the polar angle of the position vector (by atan2, which unlike
+    acos stays accurate near the poles), the choice that actually closes
+    the loop: footprint_center(mu_r, result) == (0, 0).
     """
     if mu_r.rx == 0.0:
         raise DegenerateGeometryError("tracking orientation undefined for mu_x = 0")
-    n = mu_r.norm()
-    if n == 0.0:
-        raise DegenerateGeometryError("tracking orientation undefined at the origin")
     theta = math.atan2(mu_r.ry, mu_r.rx) % TWO_PI
-    phi = math.acos(mu_r.rz / n)
+    phi = math.atan2(math.hypot(mu_r.rx, mu_r.ry), mu_r.rz)
     return Orientation(theta, phi)
 
 

@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 
 from . import geoloss as geoloss_mod
 from .beam import BeamParams
-from .geometry import DEGENERACY_TOL, TWO_PI, Orientation, Pose, Position
+from .geometry import TWO_PI, Orientation, Pose, Position, incidence_sine
 from .geoloss import DetectorParams
 from .numerics import QuadratureError
 from .stochastic import (
@@ -144,18 +144,22 @@ def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndar
 
 def _chunk_poses(d: PoseDistribution, seed: int, start: int, count: int):
     """(rx, ry, rz, theta, phi) arrays of trials [start, start+count): the
-    mean pose plus the `_chunk_eps` rows, theta wrapped into [0, 2*pi)."""
+    mean pose plus the `_chunk_eps` rows, theta wrapped into [0, 2*pi) and
+    phi folded into [0, pi] on the same beam line: phi <- phi mod 2*pi, and
+    where that exceeds pi, (theta, phi) <- (theta + pi, 2*pi - phi).  A
+    trial with phi in (0, pi) keeps its bits."""
     eps = _chunk_eps(seed, start, count, d.sigmas())
-    return (d.mu_r.rx + eps[:, 0], d.mu_r.ry + eps[:, 1], d.mu_r.rz + eps[:, 2],
-            (d.mu_omega.theta + eps[:, 3]) % TWO_PI, d.mu_omega.phi + eps[:, 4])
+    theta = (d.mu_omega.theta + eps[:, 3]) % TWO_PI
+    phi = (d.mu_omega.phi + eps[:, 4]) % TWO_PI
+    past = phi > math.pi
+    phi[past], theta[past] = TWO_PI - phi[past], (theta[past] + math.pi) % TWO_PI
+    return d.mu_r.rx + eps[:, 0], d.mu_r.ry + eps[:, 1], d.mu_r.rz + eps[:, 2], theta, phi
 
 
 def sample_pose(d: PoseDistribution, seed: int, index: int) -> Pose:
-    """The pose of trial `index` under `seed`, as `run_trials` draws it.
-
-    `Orientation` raises ValueError for a phi perturbed out of (0, pi)
-    (vanishingly unlikely at mrad-scale jitter).
-    """
+    """The pose of trial `index` under `seed`, folded as `run_trials` draws
+    it.  `Orientation` raises ValueError only for a phi folded exactly onto
+    a pole, a grazing pose that `run_trials` counts as degenerate."""
     rx, ry, rz, theta, phi = (float(v[0]) for v in _chunk_poses(d, seed, index, 1))
     return Pose(Position(rx, ry, rz), Orientation(theta, phi))
 
@@ -166,11 +170,10 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
 
     Diagnoses the freeze of A0/k_mean at the mean pose: their spread should
     be orders of magnitude below the spread of the offset u.  Uses trials
-    0..n-1; a phi outside (0, pi) raises ValueError, as in `sample_pose`.
+    0..n-1, folded as in `sample_pose`; a grazing one raises
+    DegenerateGeometryError.
     """
     rx, ry, rz, theta, phi = _chunk_poses(d, seed, 0, n)
-    if not ((phi > 0.0) & (phi < math.pi)).all():
-        raise ValueError("a sampled phi must lie strictly inside (0, pi)")
     f = geoloss_mod._pose_form(rx, ry, rz, theta, phi, b)
     a0, k_min, k_max, _nu_min, _nu_max = geoloss_mod._approx(det.a, f.w, f.rho_min, f.rho_max)
     out = {}
@@ -181,15 +184,11 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
 
 
 def _chunk_losses(plan: TrialPlan, start: int, count: int):
-    """Losses and degenerate-trial count for one contiguous chunk."""
+    """Losses and degenerate-trial count for one contiguous chunk; a trial
+    is degenerate, and its loss 0, where its beam grazes the detector plane."""
     rx, ry, rz, theta, phi = _chunk_poses(plan.distribution, plan.seed, start, count)
-    ok = (
-        (phi > 0.0) & (phi < math.pi)
-        & (np.abs(np.sin(phi) * np.cos(theta)) >= DEGENERACY_TOL)
-        & (rx != 0.0)
-    )
+    sel = np.flatnonzero(~incidence_sine(theta, phi)[1])
     losses = np.zeros(count)
-    sel = np.nonzero(ok)[0]
     try:
         if plan.loss_kernel == "exact":
             vals = geoloss_mod.exact_loss_batch(
@@ -206,7 +205,7 @@ def _chunk_losses(plan: TrialPlan, start: int, count: int):
             f"{e} (trials [{start}, {start + count}))",
             e.best_estimate, e.last_diff) from e
     losses[sel] = vals
-    return losses, int(count - int(ok.sum()))
+    return losses, count - len(sel)
 
 
 def run_trials(plan: TrialPlan, threads: int | None = None):

@@ -8,6 +8,7 @@ rel_tol so a loosened tolerance loosens the checks consistently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,14 +106,13 @@ def check_disk_rotation_invariance(rel_tol: float) -> CheckResult:
 
 
 def check_tracking_round_trip(rel_tol: float) -> CheckResult:
+    # a 3x3x3 grid, plus two positions 2 mrad off the poles
+    grid = [*itertools.product((1000.0, 600.0, -800.0), (-300.0, 0.0, 450.0),
+                               (-400.0, 0.0, 250.0)), (2.0, 0.0, 1000.0), (2.0, 0.0, -1000.0)]
     worst = 0.0
-    for rx in (1000.0, 600.0, -800.0):
-        for ry in (-300.0, 0.0, 450.0):
-            for rz in (-400.0, 0.0, 250.0):
-                p = geometry.Position(rx, ry, rz)
-                f = geometry.footprint_center(
-                    geometry.Pose(p, geometry.tracking_orientation(p)))
-                worst = max(worst, f.offset())
+    for p in itertools.starmap(geometry.Position, grid):
+        f = geometry.footprint_center(geometry.Pose(p, geometry.tracking_orientation(p)))
+        worst = max(worst, f.offset())
     return CheckResult("tracking_round_trip", worst <= 1e-9,
                        f"max footprint offset {worst:.2e} m (tol 1e-9)")
 

@@ -169,6 +169,19 @@ class TestCmdAverageLoss:
         with pytest.raises(ConfigError):
             cmd_average_loss(load_config(None))
 
+    # 2 mrad off the pole: the mean orientation tracks to within 1e-9 m, and
+    # a phi jittered past the pole is folded, not counted degenerate
+    @pytest.mark.filterwarnings("ignore:far-field")
+    def test_near_pole_geometry_runs(self, tmp_path):
+        cfg, out = tmp_path / "pole.cfg", tmp_path / "pole.json"
+        cfg.write_text("geometry.alpha_rad = 0.3\ngeometry.beta_rad = 0.002\n"
+                       "sweep.variable = sigma\nsweep.values = 1.0\nsweep.sigma_unit = mrad\n"
+                       "mc.n_trials = 2048\nmc.seed = 7\noutput.format = json\n")
+        assert main(["average-loss", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        row = dict(zip(cli.AVERAGE_COLUMNS, json.loads(out.read_text())["rows"][0]))
+        assert row["degenerate_trials"] == 0
+        assert math.isfinite(row["mean_db_exact"])
+
 
 class TestCmdPdf:
     def test_requires_randomness(self):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from fso_geoloss.geometry import (
+    DEGENERACY_TOL,
     DegenerateGeometryError,
     Orientation,
     Pose,
     Position,
+    checked_incidence_sine,
     direction_from_angles,
     footprint_center,
     footprint_yz,
     incidence_angle,
+    incidence_sine,
     spherical_mean_position,
     tracking_orientation,
 )
@@ -73,6 +76,24 @@ class TestIncidenceAngle:
                 continue
             d = direction_from_angles(o)
             assert psi == pytest.approx(math.asin(abs(d[0])), abs=1e-12)
+
+
+class TestGrazingRule:
+    # in the third pose cos(theta) and sin(phi) each pass 1e-12, their product does not
+    @pytest.mark.parametrize("theta, phi", [(math.pi / 2, 1.0), (1.0, 1e-13),
+                                            (math.pi / 2 - 1e-7, 1e-7), (0.3, 1.9)])
+    def test_every_guard_is_the_one_rule(self, theta, phi):
+        s, grazes = incidence_sine(np.array([theta, 0.0]), np.array([phi, 1.0]))
+        assert grazes.tolist() == [s[0] < DEGENERACY_TOL, False]
+        o = Orientation(theta, phi)
+        for guard in (lambda: incidence_angle(o),
+                      lambda: footprint_center(Pose(Position(500.0, 10.0, -20.0), o)),
+                      lambda: checked_incidence_sine(theta, phi)):
+            if grazes[0]:
+                with pytest.raises(DegenerateGeometryError):
+                    guard()
+            else:
+                guard()
 
 
 class TestFootprintCenter:
@@ -140,9 +161,11 @@ class TestTrackingOrientation:
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(17)
-        for _ in range(300):
-            pos = Position(rng.uniform(5, 2000), rng.uniform(-1500, 1500),
-                           rng.uniform(-1500, 1500))
+        # 2 mrad off either pole, where phi = acos(rz / |r|) missed by 1.3e-8 m
+        near_poles = [Position(2.0, 0.0, 1000.0), Position(2.0, 0.0, -1000.0)]
+        for pos in near_poles + [
+                Position(rng.uniform(5, 2000), rng.uniform(-1500, 1500),
+                         rng.uniform(-1500, 1500)) for _ in range(300)]:
             f = footprint_center(Pose(pos, tracking_orientation(pos)))
             assert f.offset() <= 1e-9
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fso_geoloss import montecarlo
 from fso_geoloss.beam import BeamParams
 from fso_geoloss.geometry import Orientation, Pose, Position
 from fso_geoloss.geoloss import DetectorParams, approx_mean, approx_params, exact_loss
@@ -89,25 +90,59 @@ class TestRunTrials:
         assert samples[13] == pytest.approx(ref, rel=1e-9)
 
     def test_sample_pose_is_its_row_across_a_chunk_boundary(self):
-        # trials CHUNK-2 .. CHUNK+1 sit in the first and second chunk of a run
-        plan = plan_for(n=2 * CHUNK, sigma_p=0.01, sigma_o=1e-3, kernel="approx_mean")
-        d = plan.distribution
-        rows = [np.column_stack(_chunk_poses(d, plan.seed, start, CHUNK))
-                for start in (0, CHUNK)]
-        samples, _ = run_trials(plan)
-        for i in range(CHUNK - 2, CHUNK + 2):
-            p = sample_pose(d, plan.seed, i)
-            pose = np.array([p.position.rx, p.position.ry, p.position.rz,
-                             p.orientation.theta, p.orientation.phi])
-            assert pose.tobytes() == rows[i // CHUNK][i % CHUNK].tobytes()
-            assert approx_mean(approx_params(p, BEAM, DET)) == samples[i]
+        # trials CHUNK-2 .. CHUNK+1 sit in the first and second chunk of a
+        # run; 2 mrad off the pole, the first folded trial is checked too
+        for beta in (math.pi / 2, 2e-3):
+            plan = plan_for(n=2 * CHUNK, sigma_p=0.01, sigma_o=1e-3, kernel="approx_mean",
+                            beta=beta)
+            d = plan.distribution
+            rows = [np.column_stack(_chunk_poses(d, plan.seed, start, CHUNK))
+                    for start in (0, CHUNK)]
+            raw = _chunk_eps(plan.seed, 0, 2 * CHUNK, d.sigmas())[:, 3:] + (
+                d.mu_omega.theta, d.mu_omega.phi)
+            folded = np.flatnonzero((raw[:, 1] <= 0.0) | (raw[:, 1] >= math.pi)).tolist()
+            assert (len(folded) > 0) == (beta < 1.0)
+            samples, _ = run_trials(plan)
+            for i in [*range(CHUNK - 2, CHUNK + 2), *folded[:1]]:
+                p = sample_pose(d, plan.seed, i)
+                pose = np.array([p.position.rx, p.position.ry, p.position.rz,
+                                 p.orientation.theta, p.orientation.phi])
+                assert pose.tobytes() == rows[i // CHUNK][i % CHUNK].tobytes()
+                assert approx_mean(approx_params(p, BEAM, DET)) == samples[i]
+            for i in folded:
+                o = sample_pose(d, plan.seed, i).orientation
+                # phi mod 2*pi rounds once, to within half an ulp of 2*pi
+                assert o.phi == pytest.approx(-raw[i, 1], rel=0, abs=1e-15)
+                assert o.theta == pytest.approx((raw[i, 0] + math.pi) % (2 * math.pi),
+                                                rel=0, abs=1e-14)
 
-    def test_chunk_of_only_degenerate_trials(self):
-        # seed 40 draws phi = pi/2 - 2.10 for trial 0, outside (0, pi)
+    def test_chunk_of_only_degenerate_trials(self, monkeypatch):
+        # every trial's beam grazes the detector plane (theta = pi/2)
+        def grazing_poses(_d, _seed, _start, count):
+            return (np.full(count, 1000.0), np.zeros(count), np.zeros(count),
+                    np.full(count, math.pi / 2), np.full(count, math.pi / 2))
+        monkeypatch.setattr(montecarlo, "_chunk_poses", grazing_poses)
         for kernel in LOSS_KERNELS:
-            samples, stats = run_trials(plan_for(sigma_o=1.0, n=1, seed=40, kernel=kernel))
-            assert stats.degenerate_trials == 1
-            assert samples.tolist() == [0.0]
+            samples, stats = run_trials(plan_for(n=3, kernel=kernel))
+            assert stats.degenerate_trials == 3
+            assert samples.tolist() == [0.0] * 3
+
+    # 2 mrad off either pole, 1 mrad jitter sends about 2% of phi past it;
+    # such a trial is folded onto its own beam line, not counted degenerate
+    @pytest.mark.filterwarnings("ignore:far-field")
+    @pytest.mark.parametrize("beta", [2e-3, math.pi - 2e-3], ids=["near-0", "near-pi"])
+    def test_phi_past_a_pole_is_folded_not_degenerate(self, beta):
+        d = plan_for(beta=beta, sigma_o=1e-3).distribution
+        raw_phi = d.mu_omega.phi + _chunk_eps(7, 0, 8192, d.sigmas())[:, 4]
+        folded = (raw_phi <= 0.0) | (raw_phi >= math.pi)
+        assert folded.sum() > 100
+        for kernel in LOSS_KERNELS:
+            samples, stats = run_trials(plan_for(n=8192, seed=7, kernel=kernel,
+                                                 beta=beta, sigma_o=1e-3))
+            assert stats.degenerate_trials == 0
+            assert math.isfinite(stats.mean_db_per_sample)
+            if kernel == "exact":
+                assert samples[folded].min() > 0.0
 
     def test_seed_changes_samples(self):
         a, _ = run_trials(plan_for(seed=1, n=256))

@@ -10,7 +10,7 @@ from fso_geoloss.beam import BeamParams
 from fso_geoloss.geometry import Orientation, Pose, Position, footprint_center
 from fso_geoloss.geoloss import DetectorParams, approx_params
 from fso_geoloss.numerics import SymMatrix2
-from fso_geoloss.montecarlo import frozen_params_spread, sample_pose
+from fso_geoloss.montecarlo import _chunk_eps, frozen_params_spread, sample_pose
 from fso_geoloss.stochastic import (
     DegenerateTrackingError,
     GeoLossPdf,
@@ -435,11 +435,18 @@ class TestFrozenParamsSpread:
             expected[f"cv_{name}"] = float(arr.std() / arr.mean())
         assert frozen_params_spread(d, BEAM, DET, n=300, seed=3) == expected
 
-    def test_phi_outside_its_range_raises(self):
-        # at 1 rad jitter some phi of the first 100 trials leave (0, pi)
+    def test_equals_per_pose_scalar_loop_at_one_rad_jitter(self):
+        # at 1 rad jitter some phi of the first 100 trials leave (0, pi) and
+        # are folded, in the batch and in `sample_pose` alike
         d = fig4_distribution(sigma_p=0.0, sigma_o=1.0)
-        with pytest.raises(ValueError, match="phi must lie strictly inside"):
-            frozen_params_spread(d, BEAM, DET, n=100, seed=3)
+        raw_phi = d.mu_omega.phi + _chunk_eps(3, 0, 100, d.sigmas())[:, 4]
+        assert ((raw_phi <= 0.0) | (raw_phi >= math.pi)).any()
+        aps = [approx_params(sample_pose(d, 3, i), BEAM, DET) for i in range(100)]
+        expected = {}
+        for name in ("a0", "k_mean", "u"):
+            arr = np.array([getattr(ap, name) for ap in aps])
+            expected[f"cv_{name}"] = float(arr.std() / arr.mean())
+        assert frozen_params_spread(d, BEAM, DET, n=100, seed=3) == expected
 
 
 class TestSensitivityOrdering:
