@@ -17,12 +17,14 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from . import geoloss as geoloss_mod
 from . import montecarlo as mc
 from . import stochastic
 from .beam import BeamParams
-from .geometry import Pose, Position, spherical_mean_position, tracking_orientation
+from .geometry import spherical_mean_position, tracking_orientation
 from .geoloss import DetectorParams, loss_db
 from .numerics import QuadratureError
 from .validate import run_validation
@@ -287,13 +289,6 @@ def _plans(cfg: ExperimentConfig, d, kernels) -> list:
                          rel_tol=cfg.rel_tol) for kernel in kernels]
 
 
-def _deterministic_pose(cfg: ExperimentConfig, alpha: float, offset) -> Pose:
-    mu = spherical_mean_position(cfg.radius_m, alpha, cfg.beta_rad)
-    orient = tracking_orientation(mu)
-    fy, fz = offset
-    return Pose(Position(mu.rx, mu.ry + fy, mu.rz + fz), orient)
-
-
 BOUNDS_COLUMNS = (
     "alpha_rad", "offset_fy_m", "offset_fz_m", "exact_db", "bound_low_db",
     "bound_upp_db", "approx_low_db", "approx_upp_db", "approx_mean_db",
@@ -306,23 +301,26 @@ def cmd_bounds(cfg: ExperimentConfig):
         raise ConfigError("bounds requires sweep.variable = alpha")
     with _model_errors():
         b, det = cfg.beam(), cfg.detector()
-        grid = [(alpha, offset, _deterministic_pose(cfg, alpha, offset))
-                for alpha in cfg.sweep_values for offset in cfg.bounds_offsets_m]
-    rows, crossed, crossed_approx = [], 0, 0
-    for alpha, offset, pose in grid:
-        ap = geoloss_mod.approx_params(pose, b, det)
-        alow, aupp = geoloss_mod.approx_bounds(ap)
-        low = geoloss_mod.bound_lower(pose, b, det, cfg.rel_tol)
-        upp = geoloss_mod.bound_upper(pose, b, det, cfg.rel_tol)
-        # the bounds are resolved to rel_tol; crossing within it is not counted
-        crossed += low > upp * (1.0 + cfg.rel_tol)
-        crossed_approx += alow > aupp
-        rows.append([
-            alpha, offset[0], offset[1],
-            loss_db(geoloss_mod.exact_loss(pose, b, det, cfg.rel_tol)),
-            loss_db(low), loss_db(upp), loss_db(alow), loss_db(aupp),
-            loss_db(geoloss_mod.approx_mean(ap)),
-        ])
+        # one tracked mean pose per alpha, displaced by each offset
+        means = [spherical_mean_position(cfg.radius_m, alpha, cfg.beta_rad)
+                 for alpha in cfg.sweep_values]
+        orients = [tracking_orientation(mu) for mu in means]
+        fy, fz = np.array(cfg.bounds_offsets_m, float).reshape(-1, 2).T
+        m = len(fy)
+        ry = np.add.outer([mu.ry for mu in means], fy).ravel()
+        rz = np.add.outer([mu.rz for mu in means], fz).ravel()
+        if not (np.isfinite(ry).all() and np.isfinite(rz).all()):
+            raise ValueError("transmitter positions must be finite; check bounds.offsets_m")
+        cols = geoloss_mod.bounds_batch(
+            np.repeat([mu.rx for mu in means], m), ry, rz,
+            np.repeat([o.theta for o in orients], m), np.repeat([o.phi for o in orients], m),
+            b, det, cfg.rel_tol)
+    # the bounds are resolved to rel_tol; crossing within it is not counted
+    crossed = int(np.count_nonzero(cols.lower > cols.upper * (1.0 + cfg.rel_tol)))
+    crossed_approx = int(np.count_nonzero(cols.approx_lower > cols.approx_upper))
+    grid = [(alpha, fy, fz) for alpha in cfg.sweep_values for fy, fz in cfg.bounds_offsets_m]
+    rows = [[*cell, *map(loss_db, losses)]
+            for cell, losses in zip(grid, np.column_stack(cols).tolist())]
     return BOUNDS_COLUMNS, rows, {"crossed_bounds": crossed,
                                   "crossed_approx_bounds": crossed_approx}
 

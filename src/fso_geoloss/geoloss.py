@@ -151,14 +151,13 @@ def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,
     return _capture(f, d.a, rel_tol)
 
 
-def _bound(p: Pose, b: BeamParams, d: DetectorParams, rel_tol: float,
-           upper: bool) -> float:
-    """Capture of the contour ellipse turned so that its major axis lies
-    along (upper) or across (lower) the offset direction, the offset on y."""
-    f = _pose_form(*_coords(p), b)
+def _bound(f: _Form, a: float, rel_tol: float, upper: bool):
+    """Capture of form f's contour ellipse turned so that its major axis
+    lies along (upper) or across (lower) the offset direction, the offset
+    on y: a float for a float form, n bounds for (n,) arrays."""
     along, across = (f.rho_max, f.rho_min) if upper else (f.rho_min, f.rho_max)
     return _capture(f._replace(rho_y=1.0 / along, rho_z=1.0 / across, rho_yz=0.0,
-                               fy=f.u, fz=0.0), d.a, rel_tol)
+                               fy=f.u, fz=0.0), a, rel_tol)
 
 
 def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
@@ -168,7 +167,7 @@ def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
     t = sqrt(L^2 - u^2) for p's incidence angle psi, distance L and offset
     u.  Not ordered against `bound_upper` once a is comparable to w (they
     cross at a = 0.6 m, w = 0.49 m)."""
-    return _bound(p, b, d, rel_tol, upper=False)
+    return _bound(_pose_form(*_coords(p), b), d.a, rel_tol, upper=False)
 
 
 def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
@@ -177,7 +176,7 @@ def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
     phi = psi placed at (t' sin psi, 0, u + t' cos psi), with
     t' = -u cos psi + sqrt(L^2 - u^2 sin^2 psi).  Ordered as a bound only
     while a is small against w; see `bound_lower`."""
-    return _bound(p, b, d, rel_tol, upper=True)
+    return _bound(_pose_form(*_coords(p), b), d.a, rel_tol, upper=True)
 
 
 def _approx(a: float, w, rho_min, rho_max):
@@ -241,15 +240,36 @@ def exact_loss_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
                      rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Vectorized `exact_loss` over per-trial pose arrays.
 
-    All pose arrays share shape (n,).  The batch is converged together, so
-    a trial's refinement level can depend on its batch mates; callers that
-    need reproducible values must keep batch composition fixed.
+    All pose arrays share shape (n,).  Each trial converges on its own, at
+    the first quadrature order at which its own estimates agree, so its
+    value is its one-pose batch's bitwise, whatever else shares the batch.
     """
     f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
     # initial= lets a chunk of only degenerate trials pass an empty batch
     reach = max(float(np.max(f.u, initial=0.0)), d.a)
     beam_mod.check_far_field(float(np.min(f.dist, initial=math.inf)), reach)
     return _capture(f, d.a, rel_tol)
+
+
+BoundsColumns = namedtuple("BoundsColumns",
+                           "exact lower upper approx_lower approx_upper approx_mean")
+
+
+def bounds_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
+                 rel_tol: float = DEFAULT_REL_TOL) -> BoundsColumns:
+    """Every deterministic loss of (n,) pose arrays, as (n,) arrays: the
+    `exact_loss`, `bound_lower` and `bound_upper` captures, `approx_bounds`
+    and `approx_mean`, each row bitwise its pose's scalar value.  One pose
+    derivation and one far-field check serve the batch."""
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
+    reach = max(float(np.max(f.u, initial=0.0)), d.a)
+    beam_mod.check_far_field(float(np.min(f.dist, initial=math.inf)), reach)
+    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
+    u2 = f.fy * f.fy + f.fz * f.fz
+    return BoundsColumns(
+        _capture(f, d.a, rel_tol),
+        _bound(f, d.a, rel_tol, upper=False), _bound(f, d.a, rel_tol, upper=True),
+        *(_closed_form(a0, u2, k, f.w) for k in (k_min, k_max, 0.5 * (k_min + k_max))))
 
 
 def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,

@@ -36,11 +36,10 @@ from .stochastic import (
 
 LOSS_KERNELS = ("exact", "approx_mean")
 
-# chunk size is part of the reproducibility contract: batched quadrature
-# converges a chunk jointly, so chunk composition must not depend on the
-# worker count.  The exact kernel streams a chunk's integrand in cache-sized
-# row blocks, so its memory does not grow with the chunk, and the blocks do
-# not touch a trial's bits; the joint refinement level does.
+# trials per batch-kernel call.  Each trial converges on its own and its
+# bits do not depend on its row, so neither the chunk size nor a chunk's
+# composition touches a trial's bits; the exact kernel streams a chunk's
+# integrand in cache-sized row blocks, so its memory does not grow with it.
 CHUNK = 1024
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -136,8 +135,9 @@ def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndar
     if start < 0:
         raise ValueError(f"trial index must be non-negative, got {start!r}")
     bg = Philox(key=seed)
-    # advance() counts 256-bit blocks (4 raws each)
-    bg.advance(start * (RAWS_PER_TRIAL // 4))
+    # advance() counts 256-bit blocks (4 raws each), and raises
+    # OverflowError when handed a numpy integer, so start goes in as an int
+    bg.advance(int(start) * (RAWS_PER_TRIAL // 4))
     raw = bg.random_raw(count * RAWS_PER_TRIAL).reshape(count, RAWS_PER_TRIAL)[:, :5]
     return gaussian_from_uniforms(raw_to_open_uniform(raw), sigmas)
 

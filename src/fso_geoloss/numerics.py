@@ -105,26 +105,29 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
 
     f(y, z, w) takes equal-shape 1-D node and weight arrays and returns the
     integrand there times w, so the estimate is the sum of what f returns.
-    With `n`, n integrands are converged together: f(y, z, w, rows) returns
-    integrands `rows` (a slice of range(n)), times w, as a (rows, len(y))
-    block, reduced before the next call, so f may reuse one scratch buffer.
-    Successive doubled-order estimates must agree to `rel_tol` in relative
-    terms (with a tiny absolute floor).
+    With `n`, f(y, z, w, rows) returns integrands `rows` (a slice of
+    range(n)), times w, as a (rows, len(y)) block, reduced before the next
+    call, so f may reuse one scratch buffer.  Successive doubled-order
+    estimates must agree to `rel_tol` in relative terms, or to 1e-13 of the
+    gross mass integral(|f|) (with a tiny absolute floor), and each of the n
+    integrands keeps the estimate of the first order at which its own
+    estimates agree: every row is evaluated at every order until all have,
+    so a row's value does not depend on the other rows of its batch.
 
     Returns a float, or n estimates.  Raises QuadratureError if doubling the
-    order `_MAX_LEVEL` times never converges.  An integral cancelling to far
-    below eps times the gross mass integral(|f|) is resolved only to that
-    rounding floor.  With `n`, each block is summed with its gross mass while
-    in cache, and no (n, nodes) array exists; without, the gross mass is
-    summed only when the relative test fails, which changes no decision, as
-    it can only raise the tolerance.
+    order `_MAX_LEVEL` times leaves an integrand unconverged.  An integral
+    cancelling to far below eps times its gross mass is resolved only to
+    that rounding floor.  With `n`, each block is summed with its gross mass
+    while in cache, and no (n, nodes) array exists; without, the gross mass
+    is summed only when the relative test fails, which changes no decision,
+    as it can only raise the tolerance.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
 
-    prev = None
+    prev, done = None, np.zeros(n or 0, bool)
     for level in range(_MAX_LEVEL + 1):
         y, z, w = _polar_rule(_BASE_ORDER << level, radius)
         # the sums are ufunc reductions, not BLAS: bit-identical under
@@ -137,15 +140,22 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
         if prev is not None:
             diff = np.abs(est - prev)
             rel = rel_tol * np.abs(est)
-            if np.all(diff <= rel + 1e-300) or np.all(diff <= np.maximum(rel, 1e-13 * (
-                    np.sum(np.abs(vals), axis=-1) if n is None else mass)) + 1e-300):
-                return float(est) if n is None else est
+            if n is None:
+                if diff <= rel + 1e-300 or diff <= np.maximum(
+                        rel, 1e-13 * np.sum(np.abs(vals), axis=-1)) + 1e-300:
+                    return float(est)
+            else:
+                # a converged row keeps its estimate from the order it converged at
+                est = np.where(done, prev, est)
+                done = done | (diff <= np.maximum(rel, 1e-13 * mass) + 1e-300)
+                if done.all():
+                    return est
         prev = est
     raise QuadratureError(
         f"disk quadrature did not converge to rel_tol={rel_tol:g} "
         f"within {_MAX_LEVEL} refinements",
         best_estimate=float(prev) if n is None else prev,
-        last_diff=float(np.max(diff)),
+        last_diff=float(np.max(diff if n is None else diff[~done])),
     )
 
 

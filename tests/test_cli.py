@@ -289,6 +289,7 @@ class TestMain:
             pytest.fail("a loss was computed")
         monkeypatch.setattr(mc, "run_trials", computed)
         monkeypatch.setattr(cli.geoloss_mod, "exact_loss", computed)
+        monkeypatch.setattr(cli.geoloss_mod, "bounds_batch", computed)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text)
         argv = [command, "--config", str(cfgfile), "--out", str(tmp_path / out)]
@@ -347,12 +348,14 @@ class TestMain:
         ("bounds", b"beam.w0_m = nan\n", []),
         ("bounds", b"geometry.R_m = inf\n", []),
         ("bounds", b"bounds.offsets_m = nan:0\n", []),
+        # alpha = pi/2 at beta = pi/2: the beam grazes the detector plane
+        ("bounds", b"sweep.values = 1.5707963267948966\n", []),
         ("pdf", b"stability.sigma_p_m = -1\nmc.n_trials = 10\n", []),
         ("average-loss", b"sweep.variable = sigma\nsweep.values = -0.5\nmc.n_trials = 10\n", []),
         ("pdf", b"stability.sigma_o_rad = nan\nmc.n_trials = 10\n", []),
     ], ids=["not-utf8", "negative-seed", "seed-2^128", "beta-0", "detector-nan", "w0-nan",
-            "radius-inf", "offset-nan", "sigma-p-negative", "sweep-sigma-negative",
-            "sigma-o-nan"])
+            "radius-inf", "offset-nan", "alpha-grazing", "sigma-p-negative",
+            "sweep-sigma-negative", "sigma-o-nan"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, text, flags):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_bytes(text)

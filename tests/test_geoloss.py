@@ -31,6 +31,7 @@ from fso_geoloss.geoloss import (
     approx_params,
     bound_lower,
     bound_upper,
+    bounds_batch,
     channel_coefficient,
     exact_loss,
     exact_loss_batch,
@@ -473,6 +474,38 @@ class TestBatchKernels:
             expected = tuple(float((a0 * np.exp(-2.0 * u2 / (k * f.w * f.w)))[0])
                              for k in (k_min, k_max))
             assert approx_bounds(ap) == expected
+
+    def test_exact_batch_rows_converge_on_their_own(self):
+        # Fig-4 trials at 0.2 mrad converge at order 16 and most at 1 mrad at
+        # order 32; mixed in one batch, each row still keeps its own order
+        rows = [np.concatenate(v) for v in zip(*(
+            _chunk_poses(PoseDistribution.from_spherical(
+                1000.0, math.pi / 8, 5 * math.pi / 8, sigma_o=s), 0, 0, 64)
+            for s in (2e-4, 1e-3)))]
+        mixed = exact_loss_batch(*rows, BEAM, DET)
+        alone = [exact_loss_batch(*(v[i:i + 1] for v in rows), BEAM, DET)[0]
+                 for i in range(128)]
+        assert mixed.tobytes() == np.array(alone).tobytes()
+
+    def test_bounds_batch_is_the_scalar_api_bitwise(self):
+        # the README pose (a = 0.6 m, offset 0.1:0.1, where both pairs of
+        # bounds cross), centred rows and offsets off the disk, in one batch
+        for a in (0.6, 0.1):
+            det = DetectorParams(a)
+            poses = [tracked_pose(1000.0, alpha, beta, fy=fy, fz=fz)
+                     for alpha, beta in ((math.pi / 4, math.pi / 2), (0.0, math.pi / 2),
+                                         (math.pi / 8, 5 * math.pi / 8))
+                     for fy, fz in ((0.1, 0.1), (0.0, 0.0), (0.05, -0.02), (0.9, 0.4),
+                                    (-1.5, 2.0))]
+            cols = bounds_batch(*pose_arrays(poses), BEAM, det)
+            for i, p in enumerate(poses):
+                ap = approx_params(p, BEAM, det)
+                assert (cols.exact[i], cols.lower[i], cols.upper[i], cols.approx_lower[i],
+                        cols.approx_upper[i], cols.approx_mean[i]) == (
+                    exact_loss(p, BEAM, det), bound_lower(p, BEAM, det),
+                    bound_upper(p, BEAM, det), *approx_bounds(ap), approx_mean(ap))
+            assert (cols.lower[0] > cols.upper[0]) == (a == 0.6)
+            assert (cols.approx_lower[0] > cols.approx_upper[0]) == (a == 0.6)
 
     def test_approx_batch_matches_scalar(self):
         poses = [tracked_pose(1000.0, a, b, fy=f)

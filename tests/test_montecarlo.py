@@ -84,10 +84,21 @@ class TestRunTrials:
         plan = plan_for(n=40, sigma_p=0.01, sigma_o=1e-4, kernel="exact")
         samples, _ = run_trials(plan)
         d = plan.distribution
-        # trial 13 recomputed through the public per-trial path
+        # trial 13 recomputed through the public per-trial path, to the bit:
+        # a trial converges on its own, not with its chunk
         pose = sample_pose(d, plan.seed, 13)
-        ref = exact_loss(pose, BEAM, DET)
-        assert samples[13] == pytest.approx(ref, rel=1e-9)
+        assert samples[13] == exact_loss(pose, BEAM, DET)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_touch_a_trials_bits(self, monkeypatch, chunk):
+        # at 0.5 mrad the Fig-4 trials converge at orders 16 and 32, so a
+        # chunk converged jointly would move some of them
+        plan = plan_for(sigma_o=5e-4, n=512, seed=0, alpha=math.pi / 8,
+                        beta=5 * math.pi / 8)
+        base, _ = run_trials(plan)
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        samples, _ = run_trials(plan)
+        assert samples.tobytes() == base.tobytes()
 
     def test_sample_pose_is_its_row_across_a_chunk_boundary(self):
         # trials CHUNK-2 .. CHUNK+1 sit in the first and second chunk of a
@@ -184,6 +195,11 @@ class TestPoseGenerator:
             Orientation(d.mu_omega.theta + eps[3], d.mu_omega.phi + eps[4]))
         with pytest.raises(ValueError):
             sample_pose(d, seed, -1 - start)
+
+    @pytest.mark.parametrize("index_type", [np.int64, np.uint64])
+    def test_numpy_integer_index_is_the_int_index(self, index_type):
+        d = plan_for(sigma_p=0.01, sigma_o=1e-3).distribution
+        assert sample_pose(d, 3, index_type(5)) == sample_pose(d, 3, 5)
 
 
 class TestSummarize:

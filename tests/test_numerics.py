@@ -173,12 +173,34 @@ class TestDiskQuadrature:
         expected = [math.pi * v * (1.0 - math.exp(-radius**2 / v)) for v in s2[:, 0]]
         assert vals[1:] == pytest.approx(expected, rel=rel_tol)
 
+    def test_each_row_keeps_the_order_at_which_it_converged(self):
+        # a wide Gaussian converges at order 16, an off-centre narrow one
+        # needs higher orders; batched, the wide row keeps its order-16 bits
+        radius, s2 = 1.0, np.array([[4.0], [0.01]])
+
+        def f(y, z, w, rows):
+            return np.exp(-((y - 0.3 * (s2[rows] < 1.0)) ** 2 + z * z) / s2[rows]) * w
+
+        both = disk_quadrature(f, radius, n=2)
+        alone = [disk_quadrature(lambda y, z, w, i=i: f(y, z, w, slice(i, i + 1))[0],
+                                 radius) for i in range(2)]
+        at16 = [np.sum(f(*_polar_rule(16, radius), slice(i, i + 1))) for i in range(2)]
+        assert both.tolist() == alone
+        assert both[0] == at16[0] and both[1] != at16[1]
+
     def test_nonconvergence_reports_best_estimate(self):
         # highly oscillatory integrand that never meets an absurd tolerance
         f = lambda y, z, w: np.sin(4000.0 * y) * np.cos(3777.0 * z) * w
         with pytest.raises(QuadratureError) as err:
             disk_quadrature(f, 1.0, rel_tol=1e-15)
         assert hasattr(err.value, "best_estimate")
+        # batched next to a Gaussian, which converges and keeps its estimate
+        g = lambda y, z, w: np.exp(-(y * y + z * z)) * w
+        with pytest.raises(QuadratureError) as err:
+            disk_quadrature(lambda y, z, w, rows: np.vstack([g(y, z, w), f(y, z, w)])[rows],
+                            1.0, rel_tol=1e-12, n=2)
+        assert err.value.best_estimate[0] == disk_quadrature(g, 1.0, rel_tol=1e-12)
+        assert err.value.last_diff > 1e-12 * abs(err.value.best_estimate[1])
 
 
 class TestEigSym2:
