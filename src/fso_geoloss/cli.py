@@ -9,7 +9,9 @@ be reproduced from its own output.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -267,11 +269,13 @@ def render_table(cfg: ExperimentConfig, command: str, columns, rows, extra_meta=
             "rows": [[_json_cell(v) for v in row] for row in rows],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
-    lines = [f"# {k}: {_fmt_cell(v)}" for k, v in meta.items()]
-    lines += [f"# config: {line}" for line in config_lines(cfg)]
-    lines.append(",".join(columns))
-    lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {k}: {_fmt_cell(v)}\n" for k, v in meta.items())
+    out.writelines(f"# config: {line}\n" for line in config_lines(cfg))
+    # a cell holding a comma or quote (a validate detail, say) is quoted
+    csv.writer(out, lineterminator="\n").writerows(
+        [columns, *([_fmt_cell(v) for v in row] for row in rows)])
+    return out.getvalue()
 
 
 def _emit(cfg: ExperimentConfig, text: str):

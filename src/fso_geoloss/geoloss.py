@@ -81,16 +81,18 @@ class ChannelInputs:
 _Form = namedtuple("_Form", "s fy fz u rho_y rho_z rho_yz rho_min rho_max dist w")
 
 
-def _pose_form(rx, ry, rz, theta, phi, b: BeamParams) -> _Form:
-    """Kernel inputs, elementwise over float or (n,) array pose coordinates,
-    with the incidence sine s computed once, by `geometry`'s grazing rule,
-    which raises DegenerateGeometryError if any pose grazes the detector plane."""
+def _pose_form(rx, ry, rz, theta, phi, b: BeamParams, a: float) -> _Form:
+    """Kernel inputs, elementwise over float or (n,) array poses, for a radius-`a` detector,
+    each pose held on its own to `geometry`'s grazing rule (DegenerateGeometryError) and
+    `beam`'s far-field rule on (dist, max(u, a)), which warns the kernel's caller."""
     s = geometry.checked_incidence_sine(theta, phi)
     fy, fz = geometry.footprint_yz(rx, ry, rz, theta, phi)
+    u = np.hypot(fy, fz)
+    dist = np.sqrt(rx * rx + ry * ry + rz * rz)
+    beam_mod.check_far_field(dist, np.maximum(u, a), stacklevel=4)
     rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
     rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, s * s)
-    dist = np.sqrt(rx * rx + ry * ry + rz * rz)
-    return _Form(s, fy, fz, np.hypot(fy, fz), rho_y, rho_z, rho_yz, rho_min, rho_max,
+    return _Form(s, fy, fz, u, rho_y, rho_z, rho_yz, rho_min, rho_max,
                  dist, beam_mod.beam_width(b, dist))
 
 
@@ -146,9 +148,7 @@ def _capture(f: _Form, a: float, rel_tol: float):
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,
                rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Fraction of transmitted power captured by the detector."""
-    f = _pose_form(*_coords(p), b)
-    beam_mod.check_far_field(f.dist, max(f.u, d.a))
-    return _capture(f, d.a, rel_tol)
+    return _capture(_pose_form(*_coords(p), b, d.a), d.a, rel_tol)
 
 
 def _bound(f: _Form, a: float, rel_tol: float, upper: bool):
@@ -167,7 +167,7 @@ def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
     t = sqrt(L^2 - u^2) for p's incidence angle psi, distance L and offset
     u.  Not ordered against `bound_upper` once a is comparable to w (they
     cross at a = 0.6 m, w = 0.49 m)."""
-    return _bound(_pose_form(*_coords(p), b), d.a, rel_tol, upper=False)
+    return _bound(_pose_form(*_coords(p), b, d.a), d.a, rel_tol, upper=False)
 
 
 def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
@@ -176,7 +176,7 @@ def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
     phi = psi placed at (t' sin psi, 0, u + t' cos psi), with
     t' = -u cos psi + sqrt(L^2 - u^2 sin^2 psi).  Ordered as a bound only
     while a is small against w; see `bound_lower`."""
-    return _bound(_pose_form(*_coords(p), b), d.a, rel_tol, upper=True)
+    return _bound(_pose_form(*_coords(p), b, d.a), d.a, rel_tol, upper=True)
 
 
 def _approx(a: float, w, rho_min, rho_max):
@@ -202,7 +202,7 @@ def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     k_min <= k_max holds only while a is small against w.  At 1 km, alpha =
     pi/4, beta = pi/2 and footprint offset (0.1, 0.1) m, where w = 0.49 m,
     a = 0.5 m gives k_min 3.25 <= k_max 3.52 but a = 0.6 m gives 5.74 > 4.58."""
-    f = _pose_form(*_coords(p), b)
+    f = _pose_form(*_coords(p), b, d.a)
     a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, f.w, f.rho_min, f.rho_max))
     return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max,
                         float(f.u), float(f.fy * f.fy + f.fz * f.fz), f.w)
@@ -244,10 +244,7 @@ def exact_loss_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
     the first quadrature order at which its own estimates agree, so its
     value is its one-pose batch's bitwise, whatever else shares the batch.
     """
-    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
-    # initial= lets a chunk of only degenerate trials pass an empty batch
-    reach = max(float(np.max(f.u, initial=0.0)), d.a)
-    beam_mod.check_far_field(float(np.min(f.dist, initial=math.inf)), reach)
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b, d.a)
     return _capture(f, d.a, rel_tol)
 
 
@@ -260,10 +257,8 @@ def bounds_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
     """Every deterministic loss of (n,) pose arrays, as (n,) arrays: the
     `exact_loss`, `bound_lower` and `bound_upper` captures, `approx_bounds`
     and `approx_mean`, each row bitwise its pose's scalar value.  One pose
-    derivation and one far-field check serve the batch."""
-    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
-    reach = max(float(np.max(f.u, initial=0.0)), d.a)
-    beam_mod.check_far_field(float(np.min(f.dist, initial=math.inf)), reach)
+    derivation serves the batch."""
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b, d.a)
     a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
     u2 = f.fy * f.fy + f.fz * f.fz
     return BoundsColumns(
@@ -275,6 +270,6 @@ def bounds_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
 def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
                       d: DetectorParams) -> np.ndarray:
     """Vectorized per-pose evaluation of the `approx_mean` kernel."""
-    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b)
+    f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b, d.a)
     a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
     return _closed_form(a0, f.fy * f.fy + f.fz * f.fz, 0.5 * (k_min + k_max), f.w)

@@ -171,10 +171,11 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
     Diagnoses the freeze of A0/k_mean at the mean pose: their spread should
     be orders of magnitude below the spread of the offset u.  Uses trials
     0..n-1, folded as in `sample_pose`; a grazing one raises
-    DegenerateGeometryError.
+    DegenerateGeometryError and a far-field-marginal one warns.
     """
-    rx, ry, rz, theta, phi = _chunk_poses(d, seed, 0, n)
-    f = geoloss_mod._pose_form(rx, ry, rz, theta, phi, b)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    f = geoloss_mod._pose_form(*_chunk_poses(d, seed, 0, n), b, det.a)
     a0, k_min, k_max, _nu_min, _nu_max = geoloss_mod._approx(det.a, f.w, f.rho_min, f.rho_max)
     out = {}
     for name, arr in (("a0", a0), ("k_mean", 0.5 * (k_min + k_max)), ("u", f.u)):

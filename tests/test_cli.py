@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import math
@@ -84,6 +85,14 @@ class TestConfigParsing:
         reparsed = ExperimentConfig(**parse_config_text("\n".join(config_lines(cfg))))
         assert reparsed == cfg
 
+    def test_readme_example_config_is_valid(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig(**parse_config_text(block))
+        cli._validate_config(cfg)
+        assert cfg.sweep_values == (0.2, 0.5, 1.0)
+        assert cfg.bounds_offsets_m == ((0.0, 0.0), (0.05, 0.0))
+
     def test_effective_config_round_trip_from_csv(self):
         cfg = load_config(None, sweep_values=(0.0, 0.3), n_trials=10)
         text = render_table(cfg, "bounds", ("a", "b"), [[1.0, 2.0]])
@@ -99,6 +108,24 @@ class TestRenderTable:
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "x,y_db"
         assert lines[header_idx + 1] == "0.5,inf"
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("bounds", dict(bounds_offsets_m=((0.0, 0.0), (0.05, 0.0)))),
+        ("average-loss", dict(sweep_variable="sigma", sweep_values=(0.5,), n_trials=64)),
+        ("pdf", dict(sigma_o_rad=1e-4, n_trials=2000, seed=7)),
+        ("validate", {}),
+    ], ids=["bounds", "average-loss", "pdf", "validate"])
+    def test_csv_rows_parse_to_their_cells(self, command, overrides):
+        # validate's details hold ", ", so a cell must be quoted to stay one cell
+        cfg = load_config(None, **overrides)
+        columns, rows, meta = cli._COMMANDS[command](cfg)
+        text = render_table(cfg, command, columns, rows, meta)
+        parsed = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+        assert parsed[0] == list(columns)
+        assert all(len(row) == len(columns) for row in parsed)
+        assert parsed[1:] == [[cli._fmt_cell(v) for v in row] for row in rows]
+        if command == "validate":
+            assert any(", " in row[2] for row in parsed[1:])
 
     def test_json_layout(self):
         cfg = load_config(None, output_format="json")

@@ -65,6 +65,10 @@ def pose_arrays(poses):
         for p in poses)))
 
 
+SCALAR_KERNELS = (exact_loss, bound_lower, bound_upper, approx_params)
+BATCH_KERNELS = (exact_loss_batch, bounds_batch, approx_mean_batch)
+
+
 class TestExactLoss:
     def test_centered_orthogonal_closed_form(self):
         for a in (0.01, 0.05, 0.1, 0.2):
@@ -106,18 +110,37 @@ class TestExactLoss:
             with pytest.raises(DegenerateGeometryError):
                 fn(*batch, BEAM, DET)
 
-    def test_one_far_field_warning_per_call(self):
-        # 5 m against a 0.1 m detector is inside 100 reach; the quadrature
-        # refines over several levels but the check runs once per call
+    @pytest.mark.parametrize("kernel", SCALAR_KERNELS + BATCH_KERNELS,
+                             ids=lambda k: k.__name__)
+    def test_one_far_field_warning_per_call(self, kernel):
+        # 5 m against a 0.1 m detector is inside 100 reach.  Every entry,
+        # exact, bound or closed form, warns once per call on behalf of its
+        # caller: a batch of two such poses once, and the quadrature's
+        # refinement over several orders does not repeat it
         pose = tracked_pose(5.0, math.pi / 8, 5 * math.pi / 8)
-        for call in (lambda: exact_loss(pose, BEAM, DET),
-                     lambda: exact_loss_batch(*pose_arrays([pose, pose]), BEAM, DET)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert len(caught) == 1
-            assert "far-field" in str(caught[0].message)
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if kernel in BATCH_KERNELS:
+                kernel(*pose_arrays([pose, pose]), BEAM, DET)
+            else:
+                kernel(pose, BEAM, DET)
+        assert len(caught) == 1
+        assert str(caught[0].message) == ("far-field assumption is marginal: source "
+                                          "distance 5 m vs footprint/detector reach 0.1 m")
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("kernel", BATCH_KERNELS, ids=lambda k: k.__name__)
+    def test_far_field_rule_does_not_depend_on_batch_mates(self, kernel):
+        # a centred pose at 1 km and a pose at 3 km 20 m off the detector each
+        # dominate their own reach (0.1 m and 20 m), so they are silent alone
+        # and batched together, though 1 km does not dominate 20 m
+        poses = [tracked_pose(1000.0, 0.0, math.pi / 2),
+                 tracked_pose(3000.0, 0.0, math.pi / 2, fy=20.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in poses:
+                kernel(*pose_arrays([p]), BEAM, DET)
+            kernel(*pose_arrays(poses), BEAM, DET)
 
 
 class TestBounds:
@@ -233,9 +256,11 @@ class TestApprox:
 
     def test_large_nu_gives_infinite_k_and_a0(self):
         # a = 12 m against w = 0.49 m gives nu = 30.5, where exp(-nu^2)
-        # underflows; k = inf is the limit and the kernels return a0
-        ap = approx_params(tracked_pose(1000.0, 0.0, math.pi / 2, fy=5.0),
-                           BEAM, DetectorParams(12.0))
+        # underflows; k = inf is the limit and the kernels return a0.  1 km
+        # does not dominate a = 12 m, so the pose is far-field marginal
+        with pytest.warns(UserWarning, match="far-field"):
+            ap = approx_params(tracked_pose(1000.0, 0.0, math.pi / 2, fy=5.0),
+                               BEAM, DetectorParams(12.0))
         assert ap.nu_min == pytest.approx(30.5, abs=0.1)
         assert ap.k_min == math.inf
         assert approx_mean(ap) == ap.a0
@@ -298,8 +323,8 @@ def one_pose_batch(kernel, pose, det):
     pose_form = geoloss_mod._pose_form
 
     def batched(*args):
-        *coords, b = args
-        return pose_form(*(np.array([c], float) for c in coords), b)
+        *coords, b, a = args
+        return pose_form(*(np.array([c], float) for c in coords), b, a)
 
     with mock.patch.object(geoloss_mod, "_pose_form", batched):
         return kernel(pose, BEAM, det)[0]
@@ -468,7 +493,7 @@ class TestBatchKernels:
             arrays = pose_arrays([pose])
             ap = approx_params(pose, BEAM, det)
             assert approx_mean(ap) == approx_mean_batch(*arrays, BEAM, det)[0]
-            f = geoloss_mod._pose_form(*arrays, BEAM)
+            f = geoloss_mod._pose_form(*arrays, BEAM, a)
             a0, k_min, k_max, _, _ = geoloss_mod._approx(a, f.w, f.rho_min, f.rho_max)
             u2 = f.fy * f.fy + f.fz * f.fz
             expected = tuple(float((a0 * np.exp(-2.0 * u2 / (k * f.w * f.w)))[0])

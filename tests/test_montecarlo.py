@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -102,7 +103,13 @@ class TestRunTrials:
 
     def test_sample_pose_is_its_row_across_a_chunk_boundary(self):
         # trials CHUNK-2 .. CHUNK+1 sit in the first and second chunk of a
-        # run; 2 mrad off the pole, the first folded trial is checked too
+        # run; 2 mrad off the pole, the first folded trial is checked too.
+        # There the footprints lie hundreds of metres off the detector, so
+        # these poses are far-field marginal and their kernels warn
+        def far_field_warns(marginal):
+            return (pytest.warns(UserWarning, match="far-field") if marginal
+                    else contextlib.nullcontext())
+
         for beta in (math.pi / 2, 2e-3):
             plan = plan_for(n=2 * CHUNK, sigma_p=0.01, sigma_o=1e-3, kernel="approx_mean",
                             beta=beta)
@@ -113,13 +120,16 @@ class TestRunTrials:
                 d.mu_omega.theta, d.mu_omega.phi)
             folded = np.flatnonzero((raw[:, 1] <= 0.0) | (raw[:, 1] >= math.pi)).tolist()
             assert (len(folded) > 0) == (beta < 1.0)
-            samples, _ = run_trials(plan)
+            with far_field_warns(beta < 1.0):
+                samples, _ = run_trials(plan)
             for i in [*range(CHUNK - 2, CHUNK + 2), *folded[:1]]:
                 p = sample_pose(d, plan.seed, i)
                 pose = np.array([p.position.rx, p.position.ry, p.position.rz,
                                  p.orientation.theta, p.orientation.phi])
                 assert pose.tobytes() == rows[i // CHUNK][i % CHUNK].tobytes()
-                assert approx_mean(approx_params(p, BEAM, DET)) == samples[i]
+                with far_field_warns(beta < 1.0):
+                    ap = approx_params(p, BEAM, DET)
+                assert approx_mean(ap) == samples[i]
             for i in folded:
                 o = sample_pose(d, plan.seed, i).orientation
                 # phi mod 2*pi rounds once, to within half an ulp of 2*pi

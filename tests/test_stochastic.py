@@ -435,18 +435,30 @@ class TestFrozenParamsSpread:
             expected[f"cv_{name}"] = float(arr.std() / arr.mean())
         assert frozen_params_spread(d, BEAM, DET, n=300, seed=3) == expected
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_trials_is_an_error(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            frozen_params_spread(fig4_distribution(), BEAM, DET, n=n)
+
     def test_equals_per_pose_scalar_loop_at_one_rad_jitter(self):
         # at 1 rad jitter some phi of the first 100 trials leave (0, pi) and
-        # are folded, in the batch and in `sample_pose` alike
+        # are folded, in the batch and in `sample_pose` alike.  All 100
+        # footprints lie over 10 m off the detector, so every pose is
+        # far-field marginal: each scalar call warns, and the batch once
         d = fig4_distribution(sigma_p=0.0, sigma_o=1.0)
         raw_phi = d.mu_omega.phi + _chunk_eps(3, 0, 100, d.sigmas())[:, 4]
         assert ((raw_phi <= 0.0) | (raw_phi >= math.pi)).any()
-        aps = [approx_params(sample_pose(d, 3, i), BEAM, DET) for i in range(100)]
+        with pytest.warns(UserWarning, match="far-field") as caught:
+            aps = [approx_params(sample_pose(d, 3, i), BEAM, DET) for i in range(100)]
+        assert len(caught) == 100
         expected = {}
         for name in ("a0", "k_mean", "u"):
             arr = np.array([getattr(ap, name) for ap in aps])
             expected[f"cv_{name}"] = float(arr.std() / arr.mean())
-        assert frozen_params_spread(d, BEAM, DET, n=100, seed=3) == expected
+        with pytest.warns(UserWarning, match="far-field") as caught:
+            spread = frozen_params_spread(d, BEAM, DET, n=100, seed=3)
+        assert len(caught) == 1
+        assert spread == expected
 
 
 class TestSensitivityOrdering:
