@@ -162,20 +162,17 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _DEG_KEYS:
-            target = _DEG_KEYS[key]
-            if target in seen:
-                raise ConfigError(f"line {lineno}: {key} conflicts with {target}")
-            seen[target] = lineno
-            attr, parse = _KEY_SPEC[target][0], lambda v: float(v) * DEG
-        else:
-            if key not in _KEY_SPEC:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r} "
-                                  f"(first set on line {seen[key]})")
-            seen[key] = lineno
-            attr, parse, _fmt = _KEY_SPEC[key]
+        target = _DEG_KEYS.get(key, key)
+        if target not in _KEY_SPEC:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if target in seen:  # a key and its degree form set one field
+            first, first_key = seen[target]
+            clash = "duplicate key" if key == first_key else f"{key!r} conflicts with"
+            raise ConfigError(f"line {lineno}: {clash} {first_key!r} (first set on line {first})")
+        seen[target] = lineno, key
+        attr, parse, _fmt = _KEY_SPEC[target]
+        if key != target:
+            parse = lambda v: float(v) * DEG
         try:
             values[attr] = parse(val)
         except (ValueError, ConfigError) as e:

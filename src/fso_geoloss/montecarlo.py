@@ -46,7 +46,8 @@ QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 THREADS_ENV = "FSO_GEOLOSS_THREADS"
 
-# Philox raws each trial owns (two 256-bit blocks); its pose uses the first five
+# Philox raws each trial owns (two 256-bit blocks); raw j < 5 is pose column j,
+# drawn whether or not that column's sigma is 0
 RAWS_PER_TRIAL = 8
 
 # chi-square cells are merged until each expects at least this many counts
@@ -130,7 +131,9 @@ def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndar
 
     Trial i owns raw draws [RAWS_PER_TRIAL*i, RAWS_PER_TRIAL*(i+1)) of the
     Philox sequence keyed by `seed`, so its row does not depend on `start`
-    or `count`.
+    or `count`.  Column j is the inverse-CDF transform of raw j times
+    sigmas[j]; a column whose sigma is 0 is exactly 0.0 and not transformed,
+    and its raw is drawn all the same, so no other column's bits move.
     """
     if start < 0:
         raise ValueError(f"trial index must be non-negative, got {start!r}")
@@ -138,8 +141,11 @@ def _chunk_eps(seed: int, start: int, count: int, sigmas: np.ndarray) -> np.ndar
     # advance() counts 256-bit blocks (4 raws each), and raises
     # OverflowError when handed a numpy integer, so start goes in as an int
     bg.advance(int(start) * (RAWS_PER_TRIAL // 4))
-    raw = bg.random_raw(count * RAWS_PER_TRIAL).reshape(count, RAWS_PER_TRIAL)[:, :5]
-    return gaussian_from_uniforms(raw_to_open_uniform(raw), sigmas)
+    raw = bg.random_raw(count * RAWS_PER_TRIAL).reshape(count, RAWS_PER_TRIAL)
+    live = np.flatnonzero(sigmas)
+    eps = np.zeros((count, 5))
+    eps[:, live] = gaussian_from_uniforms(raw_to_open_uniform(raw[:, live]), sigmas[live])
+    return eps
 
 
 def _chunk_poses(d: PoseDistribution, seed: int, start: int, count: int):

@@ -82,22 +82,16 @@ BLOCK = 1 << 14
 
 
 def _block_sums(f, y, z, w, n: int):
-    """Row sums of p and of |p| for the n weighted rows p that f(y, z, w,
-    rows) yields `BLOCK // len(y)` (at least one) at a time, each the same
-    pairwise ufunc sum as over a whole array.  A block with no negative
-    value has its sums as its gross mass (bitwise sum(|p|)); only other
-    blocks take abs and a second sum."""
-    est, mass = np.empty(n), np.empty(n)
+    """Row sums of the n weighted rows that f(y, z, w, rows) yields
+    `BLOCK // len(y)` (at least one) at a time, each the same pairwise ufunc
+    sum as over a whole array.  The rows are non-negative, so each sum is
+    also its row's gross mass."""
+    est = np.empty(n)
     step = max(1, BLOCK // len(y))
     for s in range(0, n, step):
         rows = slice(s, min(s + step, n))
-        p = f(y, z, w, rows)
-        np.sum(p, axis=-1, out=est[rows])
-        if p.min() >= 0.0:
-            mass[rows] = est[rows]
-        else:
-            np.sum(np.abs(p), axis=-1, out=mass[rows])
-    return est, mass
+        np.add.reduce(f(y, z, w, rows), axis=-1, out=est[rows])
+    return est
 
 
 def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
@@ -105,22 +99,23 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
 
     f(y, z, w) takes equal-shape 1-D node and weight arrays and returns the
     integrand there times w, so the estimate is the sum of what f returns.
-    With `n`, f(y, z, w, rows) returns integrands `rows` (a slice of
-    range(n)), times w, as a (rows, len(y)) block, reduced before the next
-    call, so f may reuse one scratch buffer.  Successive doubled-order
-    estimates must agree to `rel_tol` in relative terms, or to 1e-13 of the
-    gross mass integral(|f|) (with a tiny absolute floor), and each of the n
-    integrands keeps the estimate of the first order at which its own
-    estimates agree: every row is evaluated at every order until all have,
-    so a row's value does not depend on the other rows of its batch.
+    Successive doubled-order estimates must agree to `rel_tol` in relative
+    terms, or to 1e-13 of the gross mass integral(|f|) (with a tiny
+    absolute floor), so an integral cancelling to far below eps times its
+    gross mass is resolved only to that rounding floor.  The gross mass is
+    summed only when the relative test fails, which changes no decision.
+
+    With `n`, f(y, z, w, rows) returns non-negative integrands `rows` (a
+    slice of range(n)), times w, as a (rows, len(y)) block, summed while in
+    cache before the next call, so f may reuse one scratch buffer and no
+    (n, nodes) array exists.  A non-negative row is its own gross mass, so
+    its floor is 1e-13 of its estimate, and a cancelling row raises.  Each
+    of the n integrands keeps the estimate of the first order at which its
+    own estimates agree: every row is evaluated at every order until all
+    have, so a row's value does not depend on the other rows of its batch.
 
     Returns a float, or n estimates.  Raises QuadratureError if doubling the
-    order `_MAX_LEVEL` times leaves an integrand unconverged.  An integral
-    cancelling to far below eps times its gross mass is resolved only to
-    that rounding floor.  With `n`, each block is summed with its gross mass
-    while in cache, and no (n, nodes) array exists; without, the gross mass
-    is summed only when the relative test fails, which changes no decision,
-    as it can only raise the tolerance.
+    order `_MAX_LEVEL` times leaves an integrand unconverged.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
@@ -136,7 +131,7 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
             vals = np.asarray(f(y, z, w))
             est = np.sum(vals, axis=-1)
         else:
-            est, mass = _block_sums(f, y, z, w, n)
+            est = _block_sums(f, y, z, w, n)
         if prev is not None:
             diff = np.abs(est - prev)
             rel = rel_tol * np.abs(est)
@@ -146,8 +141,8 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
                     return float(est)
             else:
                 # a converged row keeps its estimate from the order it converged at
-                est = np.where(done, prev, est)
-                done = done | (diff <= np.maximum(rel, 1e-13 * mass) + 1e-300)
+                est, done = np.where(done, prev, est), done | (
+                    diff <= np.maximum(rel, 1e-13 * np.abs(est)) + 1e-300)
                 if done.all():
                     return est
         prev = est

@@ -28,6 +28,8 @@ from fso_geoloss.cli import (
     parse_effective_config,
     render_table,
 )
+from fso_geoloss.geometry import Pose
+from fso_geoloss.geoloss import exact_loss
 from fso_geoloss.validate import run_validation
 
 
@@ -70,6 +72,20 @@ class TestConfigParsing:
     def test_degree_conflicts_with_radian(self):
         with pytest.raises(ConfigError, match="conflicts"):
             parse_config_text("geometry.alpha_rad = 0.1\ngeometry.alpha_deg = 45")
+
+    @pytest.mark.parametrize("text, message", [
+        ("geometry.alpha_deg = 1\ngeometry.alpha_deg = 2",
+         "line 2: duplicate key 'geometry.alpha_deg' (first set on line 1)"),
+        ("geometry.alpha_deg = 1\n\ngeometry.alpha_rad = 2",
+         "line 3: 'geometry.alpha_rad' conflicts with 'geometry.alpha_deg' (first set on line 1)"),
+        ("stability.sigma_o_rad = 0\nstability.sigma_o_deg = 1",
+         "line 2: 'stability.sigma_o_deg' conflicts with 'stability.sigma_o_rad' "
+         "(first set on line 1)"),
+    ], ids=["degree-key-twice", "degree-then-radian", "radian-then-degree"])
+    def test_field_set_twice_names_both_keys_as_written(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == message
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -191,6 +207,19 @@ class TestCmdAverageLoss:
         _c, rows, _m = cmd_average_loss(cfg)
         assert [r[2] for r in rows] == [800.0, 1000.0]
         assert rows[0][3] < rows[1][3]  # longer link loses more
+
+    def test_all_zero_sigma_runs(self, tmp_path):
+        # sigma_p = 0 cm and no orientation jitter: every trial is the mean pose
+        cfg, out = tmp_path / "still.cfg", tmp_path / "still.json"
+        cfg.write_text("sweep.variable = sigma\nsweep.values = 0\nsweep.sigma_unit = cm\n"
+                       "mc.n_trials = 64\noutput.format = json\n")
+        assert main(["average-loss", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        row = dict(zip(cli.AVERAGE_COLUMNS, json.loads(out.read_text())["rows"][0]))
+        c = load_config(str(cfg))
+        d = c.distribution()
+        ref = exact_loss(Pose(d.mu_r, d.mu_omega), c.beam(), c.detector())
+        assert row["mean_linear_exact"] == pytest.approx(ref, rel=1e-12)
+        assert row["std_linear_exact"] <= 1e-16
 
     def test_requires_sigma_sweep(self):
         with pytest.raises(ConfigError):

@@ -206,6 +206,20 @@ class TestPoseGenerator:
         with pytest.raises(ValueError):
             sample_pose(d, seed, -1 - start)
 
+    def test_zero_sigma_columns_are_zero_and_move_no_other_column(self):
+        still = plan_for(sigma_p=0.0, sigma_o=1e-3).distribution.sigmas()
+        moving = plan_for(sigma_p=0.01, sigma_o=1e-3).distribution.sigmas()
+        a, b = _chunk_eps(11, 5, 300, still), _chunk_eps(11, 5, 300, moving)
+        assert a[:, 3:].tobytes() == b[:, 3:].tobytes()
+        assert a[:, :3].tobytes() == np.zeros((300, 3)).tobytes()  # +0.0, not -0.0
+        assert np.all(b[:, :3] != 0.0)
+
+    def test_all_zero_sigma_draws_the_mean_pose_for_every_trial(self):
+        d = plan_for(sigma_p=0.0, sigma_o=0.0).distribution
+        mean = (d.mu_r.rx, d.mu_r.ry, d.mu_r.rz, d.mu_omega.theta, d.mu_omega.phi)
+        for col, m in zip(_chunk_poses(d, 3, CHUNK - 2, 5), mean):
+            assert col.tobytes() == np.full(5, m).tobytes()
+
     @pytest.mark.parametrize("index_type", [np.int64, np.uint64])
     def test_numpy_integer_index_is_the_int_index(self, index_type):
         d = plan_for(sigma_p=0.01, sigma_o=1e-3).distribution

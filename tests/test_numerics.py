@@ -146,32 +146,32 @@ class TestDiskQuadrature:
         rng = np.random.default_rng(order)
         for n in {1, rows - 1, rows, rows + 1, 5 * rows + 3} - {0}:
             vals = rng.standard_normal((n, w.size)) * rng.uniform(1e-12, 1e3, (n, 1))
-            # the first block is non-negative, so its gross mass is its sum
-            vals[:rows] = np.abs(vals[:rows])
             # the integrand hands out row slices of vals * w, in one reused buffer
             scratch = np.empty((rows, w.size))
 
             def f(y, z, wt, sl):
                 return np.multiply(vals[sl], wt, out=scratch[:sl.stop - sl.start])
 
-            est, mass = _block_sums(f, y, z, w, n)
+            est = _block_sums(f, y, z, w, n)
             assert est.tobytes() == np.sum(vals * w, axis=-1).tobytes()
-            assert mass.tobytes() == np.sum(np.abs(vals) * w, axis=-1).tobytes()
 
-    def test_cancelling_row_converges_through_gross_floor_in_a_batch(self):
-        # the y row integrates to 0, so only the 1e-13 * integral(|y|) floor
-        # lets the batch converge
+    def test_cancelling_row_raises_in_a_batch(self):
+        # the batched path takes its rows to be non-negative, so a row's floor
+        # is 1e-13 of its own estimate; the y row integrates to 0 and never
+        # meets it (the float path keeps the gross-mass floor, which
+        # test_odd_integrand_vanishes covers)
         radius, rel_tol = 1.0, 1e-9
         s2 = np.array([[0.25], [1.0], [4.0]])
 
         def f(y, z, w, rows):
             return np.vstack([y, np.exp(-(y * y + z * z) / s2)])[rows] * w
 
-        vals = disk_quadrature(f, radius, rel_tol, n=4)
-        assert vals.shape == (4,)
-        assert abs(vals[0]) <= 1e-13 * 4.0 / 3.0 * radius**3
+        with pytest.raises(QuadratureError) as err:
+            disk_quadrature(f, radius, rel_tol, n=4)
+        # the Gaussian rows converged and keep their estimates
         expected = [math.pi * v * (1.0 - math.exp(-radius**2 / v)) for v in s2[:, 0]]
-        assert vals[1:] == pytest.approx(expected, rel=rel_tol)
+        assert err.value.best_estimate.shape == (4,)
+        assert err.value.best_estimate[1:] == pytest.approx(expected, rel=rel_tol)
 
     def test_each_row_keeps_the_order_at_which_it_converged(self):
         # a wide Gaussian converges at order 16, an off-centre narrow one
