@@ -364,6 +364,8 @@ def cmd_pdf(cfg: ExperimentConfig):
     """Histogram of exact-kernel losses with the analytic density overlay."""
     if cfg.sigma_p_m == 0.0 and cfg.sigma_o_rad == 0.0:
         raise ConfigError("pdf requires stability.sigma_p_m or stability.sigma_o_rad > 0")
+    if cfg.pdf_n_bins > cfg.n_trials:  # the GOF's cells would outnumber the samples
+        raise ConfigError(f"pdf.n_bins = {cfg.pdf_n_bins} exceeds mc.n_trials = {cfg.n_trials}")
     with _model_errors():
         (plan,) = _plans(cfg, cfg.distribution(), ("exact",))
     samples, stats = mc.run_trials(plan)

@@ -109,12 +109,12 @@ def _capture(f: _Form, a: float, rel_tol: float):
     The exponent, log prefactor included, is expanded into one coefficient
     row per pose against `quadratic_basis`' (y^2, z^2, yz, y, z, 1, log w),
     with a coefficient of 1 on log w, so each block is one matrix product
-    into this call's scratch and one in-place exp, which is already the
-    intensity times the rule's weights that `disk_quadrature` sums.  A pose's
-    bits do not depend on its row: a lone row (the float path included) is
-    doubled, as a 1-row product takes BLAS's matrix-vector path, whose bits
-    differ, and no product has more than `BLOCK` elements, far below the
-    size at which BLAS spreads one over threads."""
+    into a view of the call's one `BLOCK`-sized scratch (a doubled row too
+    long for it gets its own) and one in-place exp: the intensity times the
+    rule's weights that `disk_quadrature` sums.  A pose's bits do not depend
+    on its row: a lone row (the float path included) is doubled, as a 1-row
+    product takes BLAS's matrix-vector path, whose bits differ, and no
+    product has more than `BLOCK` elements, below BLAS's threading onset."""
     w2 = f.w * f.w
     c_y, c_z, c_yz = f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2, f.rho_yz * 4.0 / w2
     fy, fz = f.fy, f.fz
@@ -124,19 +124,18 @@ def _capture(f: _Form, a: float, rel_tol: float):
             - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz),
             np.ones_like(f.s) if batch else 1.0)  # ones_like on a float costs ~3 us
     coef = np.stack(coef, axis=-1) if batch else np.array((coef, coef))
-    v = np.empty((0, 0))
+    scratch = np.empty(BLOCK)
 
     def integrand(y, z, _w, rows=None):
-        nonlocal v
         c = coef if rows is None else coef[rows]
         k = len(c) if batch else 1
         if len(c) == 1:
             c = np.concatenate((c, c))
-        if len(v) < len(c) or v.shape[1] != len(y):
-            v = np.empty((len(c), len(y)))
+        size = len(c) * len(y)
+        v = (scratch[:size] if size <= BLOCK else np.empty(size)).reshape(len(c), len(y))
         basis, step = quadratic_basis(len(y), a), BLOCK // len(c)
         for s in range(0, len(y), step):
-            np.matmul(c, basis[:, s:s + step], out=v[:len(c), s:s + step])
+            np.matmul(c, basis[:, s:s + step], out=v[:, s:s + step])
         np.exp(v[:k], out=v[:k])
         return v[:k] if batch else v[0]
 

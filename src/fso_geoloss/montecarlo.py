@@ -36,11 +36,11 @@ from .stochastic import (
 
 LOSS_KERNELS = ("exact", "approx_mean")
 
-# trials per batch-kernel call.  Each trial converges on its own and its
-# bits do not depend on its row, so neither the chunk size nor a chunk's
-# composition touches a trial's bits; the exact kernel streams a chunk's
-# integrand in cache-sized row blocks, so its memory does not grow with it.
-CHUNK = 1024
+# most trials per batch-kernel call (`run_trials` takes min(CHUNK, ceil(n /
+# workers))).  A trial converges on its own and its bits do not depend on its
+# row, so no chunk size or composition touches them; the exact kernel streams
+# a chunk's integrand in L2-sized row blocks, so its memory hardly grows with it.
+CHUNK = 4096
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -218,17 +218,20 @@ def _chunk_losses(plan: TrialPlan, start: int, count: int):
 def run_trials(plan: TrialPlan, threads: int | None = None):
     """Run the plan; returns (samples, LossStats).
 
-    `threads` parallelizes chunk evaluation only; output is bit-identical
-    for any thread count.
+    `threads` parallelizes chunk evaluation only, in chunks of min(CHUNK,
+    ceil(n / threads)) trials; output is bit-identical for any thread count.
     """
     n = plan.n_trials
     samples = np.empty(n)
     degenerate = 0
+    workers = resolve_threads(threads)
+    pool = _pool(workers)  # before the division: a count below 1 fails here
+    size = min(CHUNK, -(-n // workers))
 
     def work(start: int):
-        return start, _chunk_losses(plan, start, min(CHUNK, n - start))
+        return start, _chunk_losses(plan, start, min(size, n - start))
 
-    for start, (losses, bad) in _pool(resolve_threads(threads)).map(work, range(0, n, CHUNK)):
+    for start, (losses, bad) in pool.map(work, range(0, n, size)):
         samples[start:start + len(losses)] = losses
         degenerate += bad
 

@@ -76,16 +76,16 @@ def quadratic_basis(nodes: int, radius: float):
 _BASE_ORDER = 8
 _MAX_LEVEL = 6  # orders 8, 16, ..., 512
 
-# array elements per block of integrand rows (128 KB of float64): each block
-# is filled and reduced while it is still in L2
-BLOCK = 1 << 14
+# array elements per block of integrand rows (512 KiB of float64, a quarter of a
+# 2 MiB L2): filled and reduced while in L2, below OpenBLAS's threading onset
+BLOCK = 1 << 16
 
 
 def _block_sums(f, y, z, w, n: int):
     """Row sums of the n weighted rows that f(y, z, w, rows) yields
-    `BLOCK // len(y)` (at least one) at a time, each the same pairwise ufunc
-    sum as over a whole array.  The rows are non-negative, so each sum is
-    also its row's gross mass."""
+    `BLOCK // len(y)` (at least one) at a time, one L2-sized block per call,
+    each the same pairwise ufunc sum as over a whole array.  The rows are
+    non-negative, so each sum is also its row's gross mass."""
     est = np.empty(n)
     step = max(1, BLOCK // len(y))
     for s in range(0, n, step):

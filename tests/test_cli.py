@@ -251,6 +251,22 @@ class TestCmdPdf:
         assert rc == cli.EXIT_NUMERICAL_FAILURE
         assert "raise n_trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_bins", [100_000_000, 5000])
+    def test_more_bins_than_trials_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     n_bins):
+        # reported before any trial runs: 1e8 bins once made the GOF's CDF
+        # allocate 47.6 GiB after every trial had run, and 5000 bins for
+        # 2000 trials ran them all only to end inconclusive
+        def computed(*_args, **_kwargs):
+            pytest.fail("a trial was run")
+        monkeypatch.setattr(mc, "run_trials", computed)
+        cfgfile = tmp_path / "pdf.cfg"
+        cfgfile.write_text(f"stability.sigma_o_rad = 0.0001\nmc.n_trials = 2000\n"
+                           f"pdf.n_bins = {n_bins}\n")
+        assert main(["pdf", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: pdf.n_bins = {n_bins} exceeds mc.n_trials = 2000\n")
+
     def test_histogram_and_overlay(self):
         cfg = load_config(None, sigma_o_rad=2e-4, n_trials=4000, seed=5)
         columns, rows, meta = cmd_pdf(cfg)

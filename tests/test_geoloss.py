@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fso_geoloss import geoloss as geoloss_mod
+from fso_geoloss import numerics
 from fso_geoloss.beam import BeamParams, beam_width, intensity_on_pd
 from fso_geoloss.geometry import (
     DegenerateGeometryError,
@@ -53,7 +55,8 @@ def tracked_pose(radius, alpha, beta, fy=0.0, fz=0.0):
 
 def fig4_poses(n):
     """Trials 0..n-1 of the Fig-4 geometry at sigma_o = 1 mrad, seed 0; a
-    batch of them converges at order 32 (2048 nodes, 8-row blocks)."""
+    batch of them converges at order 32 (2048 nodes, `BLOCK // 2048`-row
+    blocks)."""
     d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8, sigma_o=1e-3)
     return [sample_pose(d, 0, i) for i in range(n)]
 
@@ -415,8 +418,9 @@ class TestBatchKernels:
         assert shuffled.tobytes() == base[perm].tobytes()
 
     def test_exact_batch_bits_do_not_depend_on_block_rows(self):
-        # at order 32 these poses fill three 8-row blocks and one 1-row
-        # block; rolling by one moves a pose between a full and a lone block
+        # at order 32 these poses fill three `BLOCK // 2048`-row blocks and
+        # one 1-row block; rolling by one moves a pose between a full and a
+        # lone block
         arrays = pose_arrays(fig4_poses(3 * (BLOCK // 2048) + 1))
         base = exact_loss_batch(*arrays, BEAM, DET)
         rolled = exact_loss_batch(*(np.roll(v, 1) for v in arrays), BEAM, DET)
@@ -466,7 +470,7 @@ class TestBatchKernels:
 
     def test_exact_batch_streams_its_integrand(self):
         # a Fig-4 chunk at 1 mrad converges at order 32, where a whole
-        # (CHUNK, 2048) integrand would be 16 MiB; row blocks stay far below
+        # (CHUNK, 2048) integrand would be 64 MiB; row blocks stay far below
         d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8,
                                             sigma_o=1e-3)
         poses = _chunk_poses(d, 0, 0, CHUNK)
@@ -478,6 +482,26 @@ class TestBatchKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_exact_batch_fills_a_large_block_per_integrand_call(self, monkeypatch):
+        # each integrand call fills a block of at least 2^16 elements, so
+        # 1024 Fig-4 poses at 1 mrad take at most 32 calls at order 32; a
+        # change back to small blocks fails here rather than only slowing down
+        calls = collections.Counter()
+        block_sums = numerics._block_sums
+
+        def counting_block_sums(f, y, z, w, n):
+            def counted(*args):
+                calls[len(y)] += 1
+                return f(*args)
+            return block_sums(counted, y, z, w, n)
+
+        monkeypatch.setattr(numerics, "_block_sums", counting_block_sums)
+        d = PoseDistribution.from_spherical(1000.0, math.pi / 8, 5 * math.pi / 8,
+                                            sigma_o=1e-3)
+        exact_loss_batch(*_chunk_poses(d, 0, 0, 1024), BEAM, DET)
+        assert sorted(calls) == [128, 512, 2048]  # orders 8, 16 and 32
+        assert all(k <= math.ceil(1024 * nodes / 2**16) for nodes, k in calls.items())
 
     def test_closed_form_is_the_one_pose_batch_bitwise(self):
         # one closed-form expression serves both: a pose's scalar values are

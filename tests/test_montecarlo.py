@@ -67,7 +67,7 @@ class TestRunTrials:
         assert samples[0] == pytest.approx(ref, rel=1e-12)
 
     # at 1 mrad every chunk converges at polar order 32, so each worker
-    # thread streams eight-row blocks through its own call's scratch
+    # thread streams `BLOCK // 2048`-row blocks through its own call's scratch
     @pytest.mark.parametrize("sigma_o", [2e-4, 1e-3])
     def test_parallelism_invariance(self, sigma_o):
         plan = plan_for(n=3 * CHUNK + 17, sigma_o=sigma_o)
@@ -89,6 +89,26 @@ class TestRunTrials:
         # a trial converges on its own, not with its chunk
         pose = sample_pose(d, plan.seed, 13)
         assert samples[13] == exact_loss(pose, BEAM, DET)
+
+    @pytest.mark.parametrize("n, threads", [(1, 1), (10, 8), (CHUNK, 1), (CHUNK + 1, 1),
+                                            (2 * CHUNK, 8), (3 * CHUNK + 17, 2)])
+    def test_every_thread_gets_a_chunk_of_at_most_chunk_trials(self, monkeypatch, n,
+                                                               threads):
+        chunks = []
+
+        def spy(plan, start, count):
+            chunks.append((start, count))
+            return np.zeros(count), 0
+
+        monkeypatch.setattr(montecarlo, "_chunk_losses", spy)
+        run_trials(plan_for(n=n), threads=threads)
+        starts, counts = zip(*sorted(chunks))
+        # chunks of min(CHUNK, ceil(n / threads)) trials: 2 * CHUNK trials on
+        # 8 threads make 8 chunks, not 2
+        assert len(counts) == math.ceil(n / min(CHUNK, math.ceil(n / threads)))
+        assert len(counts) >= min(threads, math.ceil(n / CHUNK)) and max(counts) <= CHUNK
+        # the chunks tile the trials [0, n) in order
+        assert np.cumsum((0,) + counts).tolist() == [*starts, n]
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_does_not_touch_a_trials_bits(self, monkeypatch, chunk):
