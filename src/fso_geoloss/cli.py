@@ -319,9 +319,8 @@ def cmd_bounds(cfg: ExperimentConfig):
     # the bounds are resolved to rel_tol; crossing within it is not counted
     crossed = int(np.count_nonzero(cols.lower > cols.upper * (1.0 + cfg.rel_tol)))
     crossed_approx = int(np.count_nonzero(cols.approx_lower > cols.approx_upper))
-    grid = [(alpha, fy, fz) for alpha in cfg.sweep_values for fy, fz in cfg.bounds_offsets_m]
-    rows = [[*cell, *map(loss_db, losses)]
-            for cell, losses in zip(grid, np.column_stack(cols).tolist())]
+    rows = np.column_stack((np.repeat(cfg.sweep_values, m), np.tile(fy, len(means)),  # alpha-major
+                            np.tile(fz, len(means)), loss_db(np.column_stack(cols)))).tolist()
     return BOUNDS_COLUMNS, rows, {"crossed_bounds": crossed,
                                   "crossed_approx_bounds": crossed_approx}
 

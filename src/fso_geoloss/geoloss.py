@@ -226,13 +226,14 @@ def channel_coefficient(c: ChannelInputs, hg: float) -> float:
     return c.eta * c.hp * c.ha * hg
 
 
-def loss_db(hg: float) -> float:
-    """Loss in decibels, -10*log10(hg); 0 maps to +inf."""
-    if hg < 0:
-        raise ValueError(f"loss must be non-negative, got {hg!r}")
-    if hg == 0.0:
-        return math.inf
-    return -10.0 * math.log10(hg)
+def loss_db(hg):
+    """Loss in dB, -10*log10(hg), elementwise (a float for a float); 0 maps to +inf."""
+    hg = np.asarray(hg, float)
+    if (hg < 0).any():
+        raise ValueError(f"loss must be non-negative, got {float(hg.min())!r}")
+    with np.errstate(divide="ignore"):
+        db = -10.0 * np.log10(hg)
+    return float(db) if db.ndim == 0 else db
 
 
 def exact_loss_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,

@@ -241,8 +241,6 @@ def run_trials(plan: TrialPlan, threads: int | None = None):
 def summarize(samples: np.ndarray, degenerate: int = 0) -> LossStats:
     """Deterministic summary statistics of a loss sample array."""
     mean = float(np.mean(samples))
-    with np.errstate(divide="ignore"):
-        per_sample_db = -10.0 * np.log10(samples)
     qs = np.quantile(samples, QUANTILE_LEVELS)
     return LossStats(
         mean_linear=mean,
@@ -250,7 +248,7 @@ def summarize(samples: np.ndarray, degenerate: int = 0) -> LossStats:
         std_linear=float(np.std(samples)),
         n=len(samples),
         quantiles={lv: float(q) for lv, q in zip(QUANTILE_LEVELS, qs)},
-        mean_db_per_sample=float(np.mean(per_sample_db)),
+        mean_db_per_sample=float(np.mean(geoloss_mod.loss_db(samples))),
         degenerate_trials=degenerate,
     )
 
@@ -296,7 +294,8 @@ def chi_square_gof(h: Histogram, pdf: GeoLossPdf):
     """Pearson chi-square of a histogram against the analytic density.
 
     Tail cells are merged inward until each carries at least `MIN_EXPECTED`
-    expected counts.  Returns (statistic, dof, p_value).
+    expected counts, then the thinnest cell into its smaller neighbour (ties
+    go left) until none is thinner.  Returns (statistic, dof, p_value).
     """
     observed = np.concatenate([[h.underflow], h.counts, [h.overflow]]).astype(float)
     n = observed.sum()
@@ -309,7 +308,12 @@ def chi_square_gof(h: Histogram, pdf: GeoLossPdf):
     while len(exp) > 1 and exp[-1] < MIN_EXPECTED:
         exp[-2] += exp[-1]; obs[-2] += obs[-1]
         del exp[-1], obs[-1]
-    if len(exp) < 2 or min(exp) < MIN_EXPECTED:
+    while len(exp) > 1 and min(exp) < MIN_EXPECTED:  # interior: both tails hold enough
+        i = exp.index(min(exp))
+        j = i - 1 if exp[i - 1] <= exp[i + 1] else i + 1
+        exp[j] += exp[i]; obs[j] += obs[i]
+        del exp[i], obs[i]
+    if len(exp) < 2:
         raise GofInconclusiveError(
             f"{len(exp)} usable cells with min expected count "
             f"{min(exp):.2f}; raise n_trials or widen bins"

@@ -12,6 +12,7 @@ import pytest
 
 from fso_geoloss import cli
 from fso_geoloss import montecarlo as mc
+from fso_geoloss import stochastic
 from fso_geoloss.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -28,8 +29,8 @@ from fso_geoloss.cli import (
     parse_effective_config,
     render_table,
 )
-from fso_geoloss.geometry import Pose
-from fso_geoloss.geoloss import exact_loss
+from fso_geoloss.geometry import Pose, spherical_mean_position, tracking_orientation
+from fso_geoloss.geoloss import bounds_batch, exact_loss, loss_db
 from fso_geoloss.validate import run_validation
 
 
@@ -184,6 +185,22 @@ class TestCmdBounds:
         _columns, rows, _ = table
         assert rows[-1][3] - rows[0][3] <= 1.5
 
+    def test_db_cells_are_loss_db_of_the_batch_columns_bitwise(self):
+        alphas, offsets = (0.1, 0.4, 0.7), ((0.0, 0.0), (0.05, -0.02), (-0.1, 0.15))
+        cfg = load_config(None, sweep_values=alphas, bounds_offsets_m=offsets,
+                          beta_rad=5 * math.pi / 8)
+        _columns, rows, _meta = cmd_bounds(cfg)
+        grid = [(alpha, fy, fz) for alpha in alphas for fy, fz in offsets]  # alpha-major
+        assert [tuple(r[:3]) for r in rows] == grid
+        poses = []
+        for alpha, fy, fz in grid:
+            mu = spherical_mean_position(cfg.radius_m, alpha, cfg.beta_rad)
+            o = tracking_orientation(mu)
+            poses.append((mu.rx, mu.ry + fy, mu.rz + fz, o.theta, o.phi))
+        cols = bounds_batch(*np.array(poses).T, cfg.beam(), cfg.detector(), cfg.rel_tol)
+        assert [r[3:] for r in rows] == np.column_stack([loss_db(c) for c in cols]).tolist()
+        assert all(type(v) is float for r in rows for v in r)
+
     def test_requires_alpha_sweep(self):
         cfg = load_config(None, sweep_variable="sigma")
         with pytest.raises(ConfigError):
@@ -239,6 +256,26 @@ class TestCmdAverageLoss:
         assert math.isfinite(row["mean_db_exact"])
 
 
+def pooled_cells(hist, expected):
+    """(observed, expected) of the GOF's cells: the open tails pooled inward
+    while they expect fewer than `MIN_EXPECTED` counts, then, while a cell
+    does, the thinnest (the first, on a tie) into its smaller neighbour, the
+    left one on a tie."""
+    cells = [[o, e] for o, e in zip([hist.underflow, *hist.counts, hist.overflow], expected)]
+    for end, into in ((0, 1), (-1, -2)):
+        while len(cells) > 1 and cells[end][1] < mc.MIN_EXPECTED:
+            cells[into] = [x + y for x, y in zip(cells[into], cells[end])]
+            del cells[end]
+    while len(cells) > 1:
+        i = min(range(len(cells)), key=lambda k: cells[k][1])
+        if cells[i][1] >= mc.MIN_EXPECTED:
+            break
+        j = i - 1 if cells[i - 1][1] <= cells[i + 1][1] else i + 1
+        cells[j] = [x + y for x, y in zip(cells[j], cells[i])]
+        del cells[i]
+    return cells
+
+
 class TestCmdPdf:
     def test_requires_randomness(self):
         with pytest.raises(ConfigError):
@@ -266,6 +303,25 @@ class TestCmdPdf:
         assert main(["pdf", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
             f"config error: pdf.n_bins = {n_bins} exceeds mc.n_trials = 2000\n")
+
+    @pytest.mark.parametrize("n_bins", [100, 400, 2000])
+    def test_thin_interior_cells_are_pooled(self, tmp_path, n_bins):
+        # each once ended inconclusive (exit 3) on interior cells expecting
+        # 0.63, 0.14 and 0.03 counts, after every trial had run
+        cfgfile, out = tmp_path / "pdf.cfg", tmp_path / "pdf.json"
+        cfgfile.write_text(f"stability.sigma_o_rad = 0.0001\nmc.n_trials = 2000\nmc.seed = 0\n"
+                           f"pdf.n_bins = {n_bins}\noutput.format = json\n")
+        assert main(["pdf", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        meta = json.loads(out.read_text())["meta"]
+        cfg = load_config(str(cfgfile))
+        (plan,) = cli._plans(cfg, cfg.distribution(), ("exact",))
+        hist = mc.build_histogram(mc.run_trials(plan)[0], n_bins)
+        pdf = stochastic.geoloss_pdf(plan.distribution, plan.beam, plan.detector)
+        cells = pooled_cells(hist, mc._bin_probabilities(hist, pdf) * cfg.n_trials)
+        assert len(cells) > 2 and min(e for _o, e in cells) >= mc.MIN_EXPECTED
+        assert meta["gof_dof"] == len(cells) - 1
+        assert meta["gof_statistic"] == pytest.approx(
+            sum((o - e) ** 2 / e for o, e in cells), rel=1e-12)
 
     def test_histogram_and_overlay(self):
         cfg = load_config(None, sigma_o_rad=2e-4, n_trials=4000, seed=5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chndtr
 
 from fso_geoloss import geoloss as geoloss_mod
 from fso_geoloss import numerics
@@ -81,6 +82,25 @@ class TestExactLoss:
                 expected = 1.0 - math.exp(-2.0 * a * a / (w * w))
                 got = exact_loss(pose, BEAM, DetectorParams(a))
                 assert got == pytest.approx(expected, rel=1e-8)
+
+    def test_offset_orthogonal_matches_the_noncentral_chi_square(self):
+        # an oracle without the polar rule: at orthogonal incidence the
+        # footprint is a circular Gaussian of sigma = w/2 per axis, so the
+        # capture is P(chi'^2_2(u^2/sigma^2) <= a^2/sigma^2), with w taken at
+        # |r|, the distance the kernel uses.  chndtr is trusted above ~1e-15
+        worst, kept = 0.0, 0
+        for dist in (500.0, 1000.0, 2000.0):
+            for a in (0.01, 0.1, 0.5):
+                for u in (0.0, 0.05, 0.3, 1.0, 2.0):
+                    pose = tracked_pose(dist, 0.0, math.pi / 2, fy=u)
+                    sigma = 0.5 * beam_width(BEAM, math.hypot(dist, u))
+                    ref = chndtr((a / sigma) ** 2, 2, (u / sigma) ** 2)
+                    if ref < 1e-15:
+                        continue
+                    got = exact_loss(pose, BEAM, DetectorParams(a))
+                    worst, kept = max(worst, abs(got - ref) / ref), kept + 1
+        assert kept >= 30
+        assert worst <= geoloss_mod.DEFAULT_REL_TOL
 
     def test_default_value(self):
         # frozen: 1 - exp(-2 a^2 / w(1 km)^2) with w = 0.4934910867329322
@@ -595,3 +615,22 @@ class TestLossDb:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             loss_db(-1e-9)
+
+    def test_a_float_is_its_element_of_an_array_bitwise(self):
+        x = np.logspace(-300.0, 0.0, 100_000)
+        db = loss_db(x)
+        assert isinstance(db, np.ndarray) and isinstance(loss_db(float(x[0])), float)
+        assert [loss_db(v) for v in x.tolist()] == db.tolist()
+
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_a_negative_anywhere_in_an_array_is_rejected(self, at):
+        x = np.linspace(0.1, 1.0, 10)
+        x[at] = -1e-300
+        with pytest.raises(ValueError, match="non-negative"):
+            loss_db(x)
+
+    def test_zero_in_an_array_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            db = loss_db(np.array([0.5, 0.0, 1.0]))
+        assert db[1] == math.inf and db[2] == 0.0

@@ -334,6 +334,24 @@ class TestChiSquareGof:
         with pytest.raises(GofInconclusiveError):
             chi_square_gof(h, pdf)
 
+    def test_thin_interior_cells_merge_into_their_smaller_neighbour(self, pdf, monkeypatch):
+        # expected counts (underflow, 5 cells, overflow) over 128 samples, all
+        # exact in binary: the underflow's 4 goes into the first cell (30);
+        # the thinnest, 2, ties its neighbours (30, 30) and goes left; the
+        # next, 3, goes right, into the smaller 25
+        expected = np.array([4.0, 26.0, 2.0, 30.0, 3.0, 25.0, 38.0])
+        monkeypatch.setattr(montecarlo, "_bin_probabilities", lambda h, p: expected / 128.0)
+        h = montecarlo.Histogram(edges=np.linspace(0.0, 1.0, 6),
+                                 counts=np.array([27, 1, 31, 4, 24]), total=87,
+                                 underflow=3, overflow=38)
+        from scipy.special import chdtrc
+
+        stat, dof, p = chi_square_gof(h, pdf)
+        # pooled cells expect (32, 30, 28, 38) and hold (31, 31, 28, 38)
+        assert dof == 3
+        assert stat == pytest.approx(1 / 32 + 1 / 30, rel=1e-15)
+        assert p == chdtrc(3, stat)
+
     def test_sparse_tails_merged(self, pdf):
         rng = np.random.default_rng(4)
         samples = model_sampler(pdf, rng, 4000)
