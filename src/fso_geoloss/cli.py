@@ -210,6 +210,8 @@ def _validate_config(cfg: ExperimentConfig):
         raise ConfigError("sweep.values must be sorted ascending")
     if cfg.n_trials < 1:
         raise ConfigError("mc.n_trials must be >= 1")
+    if not 0 <= cfg.seed < mc.SEED_LIMIT:
+        raise ConfigError(f"mc.seed must lie in [0, 2**128), got {cfg.seed!r}")
     if not 0.0 < cfg.rel_tol < 1.0:
         raise ConfigError("quadrature.rel_tol must be in (0, 1)")
     if cfg.pdf_n_bins < 0:

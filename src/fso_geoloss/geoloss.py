@@ -44,7 +44,7 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Ingredients of the closed-form loss approximations.
+    """Ingredients of the closed-form loss approximations: floats, or (n,) arrays.
 
     a0 is the captured fraction for a centered footprint, k_min/k_max/k_mean
     the effective width scalings, nu_min/nu_max the corresponding erf
@@ -178,21 +178,23 @@ def bound_upper(p: Pose, b: BeamParams, d: DetectorParams,
     return _bound(_pose_form(*_coords(p), b, d.a), d.a, rel_tol, upper=True)
 
 
-def _approx(a: float, w, rho_min, rho_max):
-    """Closed-form (a0, k_min, k_max, nu_min, nu_max) for floats or arrays."""
-    nu_min = a / w * np.sqrt(math.pi / (2.0 * rho_min))
-    nu_max = a / w * np.sqrt(math.pi / (2.0 * rho_max))
+def _approx(f: _Form, a: float) -> ApproxParams:
+    """Form f's `ApproxParams` for a radius-`a` detector, floats for a float form."""
+    nu_min = a / f.w * np.sqrt(math.pi / (2.0 * f.rho_min))
+    nu_max = a / f.w * np.sqrt(math.pi / (2.0 * f.rho_max))
     erf_min, erf_max = erf(nu_min), erf(nu_max)
     # exp(-nu^2) underflows to 0 for nu >~ 27, where k = inf is the right limit
     with np.errstate(divide="ignore"):
-        k_min = math.sqrt(math.pi) * rho_min * erf_min / (2.0 * nu_min * np.exp(-nu_min * nu_min))
-        k_max = math.sqrt(math.pi) * rho_max * erf_max / (2.0 * nu_max * np.exp(-nu_max * nu_max))
-    return erf_min * erf_max, k_min, k_max, nu_min, nu_max
+        k_min = math.sqrt(math.pi) * f.rho_min * erf_min / (2.0 * nu_min * np.exp(-nu_min * nu_min))
+        k_max = math.sqrt(math.pi) * f.rho_max * erf_max / (2.0 * nu_max * np.exp(-nu_max * nu_max))
+    fields = (erf_min * erf_max, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max,
+              f.u, f.fy * f.fy + f.fz * f.fz, f.w)
+    return ApproxParams(*(fields if isinstance(f.s, np.ndarray) else map(float, fields)))
 
 
-def _closed_form(a0, u2, k, w):
-    """A0 exp(-2 u^2 / (k w^2)) for floats or arrays, u2 = fy^2 + fz^2."""
-    return a0 * np.exp(-2.0 * u2 / (k * w * w))
+def _closed_form(ap: ApproxParams, k):
+    """A0 exp(-2 u^2 / (k w^2)) of `ap` at width scaling k, floats or arrays."""
+    return ap.a0 * np.exp(-2.0 * ap.u2 / (k * ap.w * ap.w))
 
 
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
@@ -201,22 +203,19 @@ def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     k_min <= k_max holds only while a is small against w.  At 1 km, alpha =
     pi/4, beta = pi/2 and footprint offset (0.1, 0.1) m, where w = 0.49 m,
     a = 0.5 m gives k_min 3.25 <= k_max 3.52 but a = 0.6 m gives 5.74 > 4.58."""
-    f = _pose_form(*_coords(p), b, d.a)
-    a0, k_min, k_max, nu_min, nu_max = map(float, _approx(d.a, f.w, f.rho_min, f.rho_max))
-    return ApproxParams(a0, k_min, k_max, 0.5 * (k_min + k_max), nu_min, nu_max,
-                        float(f.u), float(f.fy * f.fy + f.fz * f.fz), f.w)
+    return _approx(_pose_form(*_coords(p), b, d.a), d.a)
 
 
 def approx_bounds(ap: ApproxParams) -> tuple[float, float]:
     """Closed-form (lower, upper) loss approximations.  Ordered only while
     k_min <= k_max; once a is comparable to w the lower value can exceed the
     upper one (see `approx_params`)."""
-    return tuple(float(_closed_form(ap.a0, ap.u2, k, ap.w)) for k in (ap.k_min, ap.k_max))
+    return tuple(float(_closed_form(ap, k)) for k in (ap.k_min, ap.k_max))
 
 
 def approx_mean(ap: ApproxParams) -> float:
     """Closed-form loss approximation with the averaged width scaling."""
-    return float(_closed_form(ap.a0, ap.u2, ap.k_mean, ap.w))
+    return float(_closed_form(ap, ap.k_mean))
 
 
 def channel_coefficient(c: ChannelInputs, hg: float) -> float:
@@ -259,17 +258,16 @@ def bounds_batch(rx, ry, rz, theta, phi, b: BeamParams, d: DetectorParams,
     and `approx_mean`, each row bitwise its pose's scalar value.  One pose
     derivation serves the batch."""
     f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b, d.a)
-    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
-    u2 = f.fy * f.fy + f.fz * f.fz
+    ap = _approx(f, d.a)
     return BoundsColumns(
         _capture(f, d.a, rel_tol),
         _bound(f, d.a, rel_tol, upper=False), _bound(f, d.a, rel_tol, upper=True),
-        *(_closed_form(a0, u2, k, f.w) for k in (k_min, k_max, 0.5 * (k_min + k_max))))
+        *(_closed_form(ap, k) for k in (ap.k_min, ap.k_max, ap.k_mean)))
 
 
 def approx_mean_batch(rx, ry, rz, theta, phi, b: BeamParams,
                       d: DetectorParams) -> np.ndarray:
     """Vectorized per-pose evaluation of the `approx_mean` kernel."""
     f = _pose_form(*(np.asarray(v, float) for v in (rx, ry, rz, theta, phi)), b, d.a)
-    a0, k_min, k_max, _nu_min, _nu_max = _approx(d.a, f.w, f.rho_min, f.rho_max)
-    return _closed_form(a0, f.fy * f.fy + f.fz * f.fz, 0.5 * (k_min + k_max), f.w)
+    ap = _approx(f, d.a)
+    return _closed_form(ap, ap.k_mean)

@@ -42,9 +42,9 @@ LOSS_KERNELS = ("exact", "approx_mean")
 # a chunk's integrand in L2-sized row blocks, so its memory hardly grows with it.
 CHUNK = 4096
 
-QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-
 THREADS_ENV = "FSO_GEOLOSS_THREADS"
+
+SEED_LIMIT = 2**128  # a seed lies in [0, SEED_LIMIT), Philox's key range
 
 # Philox raws each trial owns (two 256-bit blocks); raw j < 5 is pose column j,
 # drawn whether or not that column's sigma is 0
@@ -75,7 +75,7 @@ class TrialPlan:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials!r}")
-        if not 0 <= self.seed < 2**128:  # Philox's key range
+        if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.loss_kernel not in LOSS_KERNELS:
             raise ValueError(
@@ -88,9 +88,6 @@ class LossStats:
     mean_linear: float
     mean_db: float
     std_linear: float
-    n: int
-    quantiles: dict[float, float]
-    mean_db_per_sample: float
     degenerate_trials: int = 0
 
 
@@ -182,9 +179,9 @@ def frozen_params_spread(d: PoseDistribution, b: BeamParams, det: DetectorParams
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     f = geoloss_mod._pose_form(*_chunk_poses(d, seed, 0, n), b, det.a)
-    a0, k_min, k_max, _nu_min, _nu_max = geoloss_mod._approx(det.a, f.w, f.rho_min, f.rho_max)
+    ap = geoloss_mod._approx(f, det.a)
     out = {}
-    for name, arr in (("a0", a0), ("k_mean", 0.5 * (k_min + k_max)), ("u", f.u)):
+    for name, arr in (("a0", ap.a0), ("k_mean", ap.k_mean), ("u", ap.u)):
         mean = float(arr.mean())
         out[f"cv_{name}"] = float(arr.std() / mean) if mean else math.inf
     return out
@@ -241,14 +238,10 @@ def run_trials(plan: TrialPlan, threads: int | None = None):
 def summarize(samples: np.ndarray, degenerate: int = 0) -> LossStats:
     """Deterministic summary statistics of a loss sample array."""
     mean = float(np.mean(samples))
-    qs = np.quantile(samples, QUANTILE_LEVELS)
     return LossStats(
         mean_linear=mean,
         mean_db=geoloss_mod.loss_db(mean),
         std_linear=float(np.std(samples)),
-        n=len(samples),
-        quantiles={lv: float(q) for lv, q in zip(QUANTILE_LEVELS, qs)},
-        mean_db_per_sample=float(np.mean(geoloss_mod.loss_db(samples))),
         degenerate_trials=degenerate,
     )
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, i0e
+from scipy.special import chndtr, erf, i0e
 
 from . import beam as beam_mod
 from . import geoloss as geoloss_mod
@@ -236,6 +236,32 @@ def check_closed_form_orthogonal(rel_tol: float) -> CheckResult:
                        f"max rel err {worst:.2e} (tol {tol:.0e})")
 
 
+def check_orthogonal_chi_square(rel_tol: float) -> CheckResult:
+    # an oracle without the polar rule: at orthogonal incidence the footprint
+    # is a circular Gaussian of sigma = w/2 per axis, w taken at |r| as the
+    # kernel takes it, so the capture is P(chi'^2_2(u^2/sigma^2) <= a^2/sigma^2).
+    # Far-field poses only, up to a/w = 20, where chndtr holds (above ~1e-15)
+    tol = 10 * rel_tol
+    worst, kept = 0.0, 0
+    for dist in (300.0, 500.0, 1000.0, 2000.0):
+        o = geometry.tracking_orientation(geometry.Position(dist, 0.0, 0.0))
+        for a in (0.01, 0.1, 0.5, 1.0, 2.0, dist / 100):
+            for u in (k * a for k in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)):
+                r = math.hypot(dist, u)
+                if r < beam_mod.VALIDITY_FACTOR * max(u, a):
+                    continue
+                sigma = 0.5 * beam_mod.beam_width(DEFAULT_BEAM, r)
+                ref = chndtr((a / sigma) ** 2, 2, (u / sigma) ** 2)
+                if ref < 1e-15:
+                    continue
+                pose = geometry.Pose(geometry.Position(dist, u, 0.0), o)
+                ex = geoloss_mod.exact_loss(pose, DEFAULT_BEAM,
+                                            geoloss_mod.DetectorParams(a), rel_tol)
+                worst, kept = max(worst, abs(ex / ref - 1.0)), kept + 1
+    return CheckResult("orthogonal_chi_square", worst <= tol,
+                       f"max rel err {worst:.2e} over {kept} poses (tol {tol:.0e})")
+
+
 def _grid_pdfs():
     """Synthetic densities over a (q, varpi) grid, a0 and w of the default link."""
     a0, w = 0.0787, 0.4935
@@ -374,6 +400,7 @@ ALL_CHECKS = (
     check_bound_ordering,
     check_orthogonal_collapse,
     check_closed_form_orthogonal,
+    check_orthogonal_chi_square,
     check_pdf_normalization,
     check_cdf_matches_density,
     check_rayleigh_reduction,

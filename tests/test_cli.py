@@ -471,6 +471,9 @@ class TestMain:
          ["--seed", "-1"]),
         ("pdf", b"stability.sigma_o_rad = 2e-4\nmc.n_trials = 10\n"
                 b"mc.seed = 340282366920938463463374607431768211456\n", []),
+        # the seed range holds for every command, not only where trials run
+        ("bounds", b"", ["--seed", "-1"]),
+        ("validate", b"mc.seed = 340282366920938463463374607431768211456\n", []),
         ("bounds", b"geometry.beta_rad = 0\n", []),
         ("bounds", b"detector.radius_m = nan\n", []),
         ("bounds", b"beam.w0_m = nan\n", []),
@@ -481,7 +484,8 @@ class TestMain:
         ("pdf", b"stability.sigma_p_m = -1\nmc.n_trials = 10\n", []),
         ("average-loss", b"sweep.variable = sigma\nsweep.values = -0.5\nmc.n_trials = 10\n", []),
         ("pdf", b"stability.sigma_o_rad = nan\nmc.n_trials = 10\n", []),
-    ], ids=["not-utf8", "negative-seed", "seed-2^128", "beta-0", "detector-nan", "w0-nan",
+    ], ids=["not-utf8", "negative-seed", "seed-2^128", "bounds-negative-seed",
+            "validate-seed-2^128", "beta-0", "detector-nan", "w0-nan",
             "radius-inf", "offset-nan", "alpha-grazing", "sigma-p-negative",
             "sweep-sigma-negative", "sigma-o-nan"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, text, flags):
@@ -511,6 +515,17 @@ class TestMain:
 
 
 class TestValidateMutationDetection:
+    def test_biased_capture_fails_the_chi_square_oracle(self, monkeypatch):
+        # the check resolves a capture 1e-7 off in relative terms
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss.validate import check_orthogonal_chi_square
+
+        assert check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
+        true_exact = geoloss_mod.exact_loss
+        monkeypatch.setattr(geoloss_mod, "exact_loss",
+                            lambda *args: true_exact(*args) * (1.0 + 1e-7))
+        assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
+
     def test_swapped_bound_axes_reported(self, monkeypatch):
         # classic implementation bug: the lower bound built with the axes
         # swapped turns into the upper bound and breaks the ordering

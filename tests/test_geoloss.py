@@ -12,7 +12,7 @@ from scipy.special import chndtr
 
 from fso_geoloss import geoloss as geoloss_mod
 from fso_geoloss import numerics
-from fso_geoloss.beam import BeamParams, beam_width, intensity_on_pd
+from fso_geoloss.beam import VALIDITY_FACTOR, BeamParams, beam_width, intensity_on_pd
 from fso_geoloss.geometry import (
     DegenerateGeometryError,
     Orientation,
@@ -100,6 +100,43 @@ class TestExactLoss:
                     got = exact_loss(pose, BEAM, DetectorParams(a))
                     worst, kept = max(worst, abs(got - ref) / ref), kept + 1
         assert kept >= 30
+        assert worst <= geoloss_mod.DEFAULT_REL_TOL
+
+    def test_offset_orthogonal_tail_matches_the_poisson_mixture(self):
+        # the same oracle into the deep tail, where chndtr fails: P(chi'^2_2(lam)
+        # <= x) = sum_j e^(-lam/2) (lam/2)^j / j! * P(j+1, x/2), P the regularized
+        # lower gamma, summed in mpmath past its largest term (the terms are
+        # unimodal in j).  mp.quad over the Bessel form, unsplit, is off by 1.7e-3
+        # at 4e-292, so it would report kernel errors that do not exist
+        mp = pytest.importorskip("mpmath")
+
+        def mixture_cdf(x, lam):
+            total, prev, weight, j = mp.mpf(0), mp.mpf(0), mp.exp(-lam / 2), 0
+            while True:
+                term = weight * mp.gammainc(j + 1, 0, x / 2, regularized=True)
+                total += term
+                if term < prev and term <= total * mp.mpf(10) ** -mp.mp.dps:
+                    return total
+                prev, weight, j = term, weight * lam / (2 * (j + 1)), j + 1
+
+        worst, kept, least = 0.0, 0, 1.0
+        with mp.workdps(30):
+            for dist in (500.0, 1000.0, 2000.0):
+                for a in (0.01, 0.1, 0.5):
+                    for u in (0.0, 0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 9.5):
+                        r = math.hypot(dist, u)  # |r|, where the kernel takes w
+                        if r < VALIDITY_FACTOR * max(u, a):
+                            continue
+                        sigma = mp.mpf(0.5 * beam_width(BEAM, r))
+                        ref = mixture_cdf((a / sigma) ** 2, (u / sigma) ** 2)
+                        if ref < mp.mpf("1e-300"):
+                            continue
+                        got = exact_loss(tracked_pose(dist, 0.0, math.pi / 2, fy=u),
+                                         BEAM, DetectorParams(a))
+                        worst = max(worst, float(abs(got - ref) / ref))
+                        kept, least = kept + 1, min(least, float(ref))
+        assert kept >= 80
+        assert least < 1e-250
         assert worst <= geoloss_mod.DEFAULT_REL_TOL
 
     def test_default_value(self):
@@ -537,11 +574,9 @@ class TestBatchKernels:
             arrays = pose_arrays([pose])
             ap = approx_params(pose, BEAM, det)
             assert approx_mean(ap) == approx_mean_batch(*arrays, BEAM, det)[0]
-            f = geoloss_mod._pose_form(*arrays, BEAM, a)
-            a0, k_min, k_max, _, _ = geoloss_mod._approx(a, f.w, f.rho_min, f.rho_max)
-            u2 = f.fy * f.fy + f.fz * f.fz
-            expected = tuple(float((a0 * np.exp(-2.0 * u2 / (k * f.w * f.w)))[0])
-                             for k in (k_min, k_max))
+            one = geoloss_mod._approx(geoloss_mod._pose_form(*arrays, BEAM, a), a)
+            expected = tuple(float((one.a0 * np.exp(-2.0 * one.u2 / (k * one.w * one.w)))[0])
+                             for k in (one.k_min, one.k_max))
             assert approx_bounds(ap) == expected
 
     def test_exact_batch_rows_converge_on_their_own(self):

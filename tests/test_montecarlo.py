@@ -181,9 +181,7 @@ class TestRunTrials:
             samples, stats = run_trials(plan_for(n=8192, seed=7, kernel=kernel,
                                                  beta=beta, sigma_o=1e-3))
             assert stats.degenerate_trials == 0
-            assert math.isfinite(stats.mean_db_per_sample)
-            if kernel == "exact":
-                assert samples[folded].min() > 0.0
+            assert samples.min() > 0.0
 
     def test_seed_changes_samples(self):
         a, _ = run_trials(plan_for(seed=1, n=256))
@@ -192,18 +190,10 @@ class TestRunTrials:
 
     def test_stats_fields(self):
         samples, stats = run_trials(plan_for(n=CHUNK + 5, sigma_o=2e-4))
-        assert stats.n == CHUNK + 5
+        assert len(samples) == CHUNK + 5
         assert 0.0 <= stats.mean_linear <= 1.0
         assert stats.mean_db == pytest.approx(-10 * math.log10(stats.mean_linear))
-        assert list(stats.quantiles) == sorted(stats.quantiles)
-        q = stats.quantiles
-        assert q[0.05] <= q[0.5] <= q[0.95]
         assert stats.degenerate_trials == 0
-
-    def test_mean_db_of_mean_vs_mean_of_db(self):
-        _, stats = run_trials(plan_for(n=2000, sigma_o=2e-4))
-        # Jensen: dB of the mean is below the per-sample dB mean
-        assert stats.mean_db <= stats.mean_db_per_sample
 
 
 class TestPoseGenerator:
@@ -256,7 +246,6 @@ class TestSummarize:
     def test_zero_loss_maps_to_inf_db(self):
         stats = summarize(np.array([0.0, 0.0]))
         assert stats.mean_db == math.inf
-        assert stats.mean_db_per_sample == math.inf
 
 
 class TestBuildHistogram:
@@ -420,10 +409,10 @@ class TestFig4Point:
 class TestTailHeaviness:
     def test_larger_sigma_gives_heavier_db_tail(self):
         # 99th-percentile dB loss = -10*log10 of the 1st-percentile loss
-        _s, lo = run_trials(plan_for(sigma_o=1e-4, n=20_000, seed=13))
-        _s, hi = run_trials(plan_for(sigma_o=2e-4, n=20_000, seed=13))
-        db99_lo = -10 * math.log10(lo.quantiles[0.01])
-        db99_hi = -10 * math.log10(hi.quantiles[0.01])
+        lo, _ = run_trials(plan_for(sigma_o=1e-4, n=20_000, seed=13))
+        hi, _ = run_trials(plan_for(sigma_o=2e-4, n=20_000, seed=13))
+        db99_lo = -10 * math.log10(np.quantile(lo, 0.01))
+        db99_hi = -10 * math.log10(np.quantile(hi, 0.01))
         assert db99_hi > db99_lo
 
 
