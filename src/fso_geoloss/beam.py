@@ -139,12 +139,18 @@ def ellipse_params(o: Orientation) -> EllipseParams:
     )
 
 
+def far_field_marginal(distance, reach):
+    """The one far-field rule, elementwise over broadcastable arrays: True
+    where a source `distance` does not dominate its `reach` (the larger of
+    its footprint offset and the detector or evaluation radius)."""
+    return distance < VALIDITY_FACTOR * reach
+
+
 def check_far_field(distance, reach, stacklevel: int = 3) -> None:
-    """Warn once, naming one failing pair, where any source `distance` does
-    not dominate its `reach` (the larger of its footprint offset and the
-    detector or evaluation radius), elementwise over broadcastable arrays.
-    `stacklevel` is `warnings.warn`'s: 3 blames the caller's caller."""
-    near = distance < VALIDITY_FACTOR * reach
+    """Warn once, naming one failing pair, where any (`distance`, `reach`)
+    is `far_field_marginal`.  `stacklevel` is `warnings.warn`'s: 3 blames
+    the caller's caller."""
+    near = far_field_marginal(distance, reach)
     if np.count_nonzero(near):  # on a scalar pose about 4x cheaper than np.any
         d, r = (v.flat[np.argmax(near)] for v in np.broadcast_arrays(distance, reach))
         warnings.warn(f"far-field assumption is marginal: source distance {d:.3g} m "

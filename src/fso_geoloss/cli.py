@@ -242,13 +242,8 @@ def parse_effective_config(text: str) -> ExperimentConfig:
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return repr(float(v))  # normalizes numpy scalars
-    return str(v)
+    # repr(float) normalizes numpy scalars and spells inf, -inf and nan
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _json_cell(v):

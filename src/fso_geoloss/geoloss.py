@@ -46,11 +46,11 @@ class DetectorParams:
 class ApproxParams:
     """Ingredients of the closed-form loss approximations: floats, or (n,) arrays.
 
-    a0 is the captured fraction for a centered footprint, k_min/k_max/k_mean
-    the effective width scalings, nu_min/nu_max the corresponding erf
-    arguments, u the footprint offset, u2 = fy^2 + fz^2 and w the beam width
-    at the link distance.  A k is +inf when its nu is so large (>~ 27) that
-    exp(-nu^2) underflows; the kernels then return exactly a0, their limit.
+    a0 is the captured fraction for a centered footprint, k_min/k_max/k_mean the
+    width scalings (k_min <= k_max where nu_min <= 1.142; see `approx_params`),
+    nu_min >= nu_max their erf arguments, u the footprint offset, u2 = fy^2 +
+    fz^2 and w the beam width at the link distance.  A k is +inf when its nu is
+    so large (>~ 27) that exp(-nu^2) underflows; the kernels then return exactly a0.
     """
 
     a0: float
@@ -78,7 +78,7 @@ class ChannelInputs:
             raise ValueError(f"invalid channel inputs: {self}")
 
 
-_Form = namedtuple("_Form", "s fy fz u rho_y rho_z rho_yz rho_min rho_max dist w")
+_Form = namedtuple("_Form", "s fy fz u rho_y rho_z rho_yz rho_min rho_max w")
 
 
 def _pose_form(rx, ry, rz, theta, phi, b: BeamParams, a: float) -> _Form:
@@ -93,7 +93,7 @@ def _pose_form(rx, ry, rz, theta, phi, b: BeamParams, a: float) -> _Form:
     rho_y, rho_z, rho_yz = beam_mod.ellipse_coefficients(theta, phi)
     rho_min, rho_max = beam_mod.ellipse_axes(rho_y, rho_z, rho_yz, s * s)
     return _Form(s, fy, fz, u, rho_y, rho_z, rho_yz, rho_min, rho_max,
-                 dist, beam_mod.beam_width(b, dist))
+                 beam_mod.beam_width(b, dist))
 
 
 def _coords(p: Pose):
@@ -200,16 +200,17 @@ def _closed_form(ap: ApproxParams, k):
 def approx_params(p: Pose, b: BeamParams, d: DetectorParams) -> ApproxParams:
     """Closed-form approximation parameters for pose `p`.
 
-    k_min <= k_max holds only while a is small against w.  At 1 km, alpha =
-    pi/4, beta = pi/2 and footprint offset (0.1, 0.1) m, where w = 0.49 m,
-    a = 0.5 m gives k_min 3.25 <= k_max 3.52 but a = 0.6 m gives 5.74 > 4.58."""
+    A k is (pi^1.5 / 4) (a/w)^2 erf(nu) exp(nu^2) / nu^3, which falls in nu up
+    to nu* = 1.1420888, so k_min <= k_max wherever nu_min (>= nu_max) <= nu*.
+    At 1 km, alpha = pi/4, beta = pi/2 and offset (0.1, 0.1) m (w = 0.49 m),
+    a = 0.5 m (nu_min 1.27) gives k_min 3.25 <= k_max 3.52 but a = 0.6 m 5.74 > 4.58."""
     return _approx(_pose_form(*_coords(p), b, d.a), d.a)
 
 
 def approx_bounds(ap: ApproxParams) -> tuple[float, float]:
-    """Closed-form (lower, upper) loss approximations.  Ordered only while
-    k_min <= k_max; once a is comparable to w the lower value can exceed the
-    upper one (see `approx_params`)."""
+    """Closed-form (lower, upper) loss approximations, ordered wherever
+    k_min <= k_max, so wherever nu_min <= 1.142 (see `approx_params`); past
+    that the lower value can exceed the upper one."""
     return tuple(float(_closed_form(ap, k)) for k in (ap.k_min, ap.k_max))
 
 

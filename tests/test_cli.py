@@ -366,6 +366,12 @@ class TestValidateTolerancePlumbing:
         assert all(r.passed for r in results), \
             [r.name for r in results if not r.passed]
 
+    def test_every_verdict_is_a_plain_bool(self):
+        # checks that compare numpy scalars get a bool, so results serialize
+        results = run_validation()
+        assert [type(r.passed) for r in results] == [bool] * len(results)
+        json.dumps([r.passed for r in results])
+
 
 class TestMain:
     def test_bounds_to_file(self, tmp_path, capsys):
@@ -525,6 +531,53 @@ class TestValidateMutationDetection:
         monkeypatch.setattr(geoloss_mod, "exact_loss",
                             lambda *args: true_exact(*args) * (1.0 + 1e-7))
         assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
+
+    def test_centred_bias_fails_the_chi_square_oracle(self, monkeypatch):
+        # the u = 0 case of the chi-square CDF is 1 - exp(-2 a^2 / w^2): a
+        # bias on the centred poses alone (offset 0 to rounding) fails the
+        # check, and those poses span L in {500, 1000, 2000} m and a in
+        # {0.01, 0.05, 0.1, 0.2} m
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss.geometry import footprint_center
+        from fso_geoloss.validate import check_orthogonal_chi_square
+
+        true_exact = geoloss_mod.exact_loss
+        centred = set()
+
+        def biased(pose, b, det, rel_tol):
+            ex = true_exact(pose, b, det, rel_tol)
+            if footprint_center(pose).offset() > 1e-9:
+                return ex
+            centred.add((pose.position.rx, det.a))
+            return ex * (1.0 + 1e-7)
+
+        monkeypatch.setattr(geoloss_mod, "exact_loss", biased)
+        assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
+        assert centred >= {(dist, a) for dist in (500.0, 1000.0, 2000.0)
+                           for a in (0.01, 0.05, 0.1, 0.2)}
+
+    def test_far_field_rule_has_one_source(self, monkeypatch):
+        # the check's pose filter and the kernels' warning both move with
+        # beam.VALIDITY_FACTOR
+        import re
+        import warnings
+
+        from fso_geoloss import beam as beam_mod
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss.validate import check_orthogonal_chi_square
+
+        def kept():
+            detail = check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).detail
+            return int(re.search(r"over (\d+) poses", detail).group(1))
+
+        before = kept()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beam_mod.check_far_field(1000.0, 5.0)
+        monkeypatch.setattr(beam_mod, "VALIDITY_FACTOR", 1000.0)
+        with pytest.warns(UserWarning, match="far-field"):
+            beam_mod.check_far_field(1000.0, 5.0)
+        assert 0 < kept() < before
 
     def test_swapped_bound_axes_reported(self, monkeypatch):
         # classic implementation bug: the lower bound built with the axes

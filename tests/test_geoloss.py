@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import chndtr
 
 from fso_geoloss import geoloss as geoloss_mod
@@ -337,14 +338,19 @@ class TestApprox:
         # the pose where the exact bounds cross (TestBoundIdentity): the
         # closed-form pair is ordered at a = 0.5 m and crossed at a = 0.6 m
         pose = tracked_pose(1000.0, math.pi / 4, math.pi / 2, fy=0.1, fz=0.1)
+        # both nu_min lie past NU_STAR, so the ordered a = 0.5 m pose shows
+        # that nu_min <= NU_STAR is sufficient for k_min <= k_max, not necessary
+        assert NU_STAR == pytest.approx(1.1420888, abs=1e-7)
         ap = approx_params(pose, BEAM, DetectorParams(0.5))
         assert ap.k_min == pytest.approx(3.246, abs=1e-3)
         assert ap.k_max == pytest.approx(3.518, abs=1e-3)
+        assert ap.nu_min == pytest.approx(1.27, abs=5e-3) and ap.nu_min > NU_STAR
         low, upp = approx_bounds(ap)
         assert low <= approx_mean(ap) <= upp
         ap = approx_params(pose, BEAM, DetectorParams(0.6))
         assert ap.k_min == pytest.approx(5.744, abs=1e-3)
         assert ap.k_max == pytest.approx(4.582, abs=1e-3)
+        assert ap.nu_min == pytest.approx(1.52, abs=5e-3)
         low, upp = approx_bounds(ap)
         assert low > approx_mean(ap) > upp
 
@@ -391,6 +397,18 @@ def one_pose_batch(kernel, pose, det):
 
 
 _WIDTH = beam_width(BEAM, 1000.0)
+
+
+def _g(nu):
+    """erf(nu) exp(nu^2) / nu^3: a k of `_approx` is (pi^1.5 / 4) (a/w)^2 g(nu)."""
+    return math.erf(nu) / (nu**3 * math.exp(-nu * nu))
+
+
+# where g is least: d log g / d nu = 2 exp(-nu^2) / (sqrt(pi) erf nu) + 2 nu - 3 / nu = 0
+NU_STAR = brentq(lambda v: 2.0 * math.exp(-v * v) / (math.sqrt(math.pi) * math.erf(v))
+                 + 2.0 * v - 3.0 / v, 0.5, 2.0, xtol=1e-14)
+
+
 # phi within 1e-3 of 0 or pi, theta within 1e-3 of pi/2: grazing on both
 # sides of DEGENERACY_TOL; elsewhere anything not grazing
 _EDGE = st.floats(1e-15, 1e-3)
@@ -422,6 +440,27 @@ class TestProperties:
             assert val == one_pose_batch(kernel, pose, det)
             if kernel is exact_loss:
                 assert val == exact_loss_batch(*pose_arrays([pose]), BEAM, det)[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(a_w=st.floats(0.01, 2.0), u_w=st.floats(0.0, 20.0),
+           ang=st.floats(0.0, 2 * math.pi), theta=_THETA, phi=_PHI)
+    def test_k_is_ordered_wherever_nu_min_is_at_most_nu_star(self, a_w, u_w, ang,
+                                                              theta, phi):
+        # k = C g(nu) with C common to k_min and k_max, and nu_min >= nu_max;
+        # g falls on (0, NU_STAR], so nu_min <= NU_STAR gives k_min <= k_max
+        pose = oblique_pose(theta, phi, u_w * _WIDTH, ang)
+        a = a_w * _WIDTH
+        try:
+            ap = approx_params(pose, BEAM, DetectorParams(a))
+        except DegenerateGeometryError:
+            return
+        c = math.pi**1.5 / 4.0 * (a / ap.w) ** 2
+        for k, nu in ((ap.k_min, ap.nu_min), (ap.k_max, ap.nu_max)):
+            if math.isfinite(k):
+                assert k == pytest.approx(c * _g(nu), rel=1e-12)
+        assert ap.nu_min >= ap.nu_max
+        if ap.nu_min <= NU_STAR:
+            assert ap.k_min <= ap.k_max * (1.0 + 1e-12)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(a_w=st.floats(0.01, 2.0), ang=st.floats(0.0, 2 * math.pi),
