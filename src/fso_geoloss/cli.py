@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,9 +57,12 @@ def _parse_floats(s: str):
     if not s.strip():
         return ()
     try:
-        return tuple(float(v) for v in s.split(","))
+        values = tuple(float(v) for v in s.split(","))
     except ValueError as e:
         raise ConfigError(f"expected comma-separated numbers, got {s!r}") from e
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {s!r}")
+    return values
 
 
 def _parse_offsets(s: str):
@@ -83,28 +86,35 @@ def _fmt_offsets(values) -> str:
     return ";".join(f"{repr(float(fy))}:{repr(float(fz))}" for fy, fz in values)
 
 
+def _key(key: str, default, parse=float, fmt=repr, choices=()):
+    """A config field: its key in config text, how its value is parsed and
+    echoed, and the values it may take (any, when `choices` is empty)."""
+    return field(default=default, metadata={"key": key, "parse": parse, "fmt": fmt,
+                                            "choices": choices})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    radius_m: float = 1000.0
-    alpha_rad: float = 0.0
-    beta_rad: float = math.pi / 2
-    w0_m: float = 1e-3
-    wavelength_m: float = 1550e-9
-    cn2: float = 1e-14
-    detector_radius_m: float = 0.1
-    sigma_p_m: float = 0.0
-    sigma_o_rad: float = 0.0
-    sweep_variable: str = "alpha"
-    sweep_values: tuple = (0.0,)
-    sweep_sigma_unit: str = "mrad"
-    sweep_distances_m: tuple = ()
-    bounds_offsets_m: tuple = ((0.0, 0.0),)
-    pdf_n_bins: int = 0  # 0 -> Sturges rule
-    n_trials: int = 100_000
-    seed: int = 1234
-    rel_tol: float = 1e-9
-    output_path: str = "-"
-    output_format: str = "csv"
+    radius_m: float = _key("geometry.R_m", 1000.0)
+    alpha_rad: float = _key("geometry.alpha_rad", 0.0)
+    beta_rad: float = _key("geometry.beta_rad", math.pi / 2)
+    w0_m: float = _key("beam.w0_m", 1e-3)
+    wavelength_m: float = _key("beam.wavelength_m", 1550e-9)
+    cn2: float = _key("beam.cn2", 1e-14)
+    detector_radius_m: float = _key("detector.radius_m", 0.1)
+    sigma_p_m: float = _key("stability.sigma_p_m", 0.0)
+    sigma_o_rad: float = _key("stability.sigma_o_rad", 0.0)
+    sweep_variable: str = _key("sweep.variable", "alpha", str, str, ("alpha", "sigma"))
+    sweep_values: tuple = _key("sweep.values", (0.0,), _parse_floats, _fmt_floats)
+    sweep_sigma_unit: str = _key("sweep.sigma_unit", "mrad", str, str, ("cm", "mrad"))
+    sweep_distances_m: tuple = _key("sweep.distances_m", (), _parse_floats, _fmt_floats)
+    bounds_offsets_m: tuple = _key("bounds.offsets_m", ((0.0, 0.0),), _parse_offsets, _fmt_offsets)
+    pdf_n_bins: int = _key("pdf.n_bins", 0, int, str)  # 0 -> Sturges rule
+    n_trials: int = _key("mc.n_trials", 100_000, int, str)
+    seed: int = _key("mc.seed", 1234, int, str)
+    rel_tol: float = _key("quadrature.rel_tol", 1e-9)
+    output_path: str = _key("output.path", "-", str, str)
+    output_format: str = _key("output.format", "csv", str, str, ("csv", "json"))
 
     def beam(self) -> BeamParams:
         return BeamParams(w0=self.w0_m, wavelength=self.wavelength_m, cn2=self.cn2)
@@ -118,36 +128,8 @@ class ExperimentConfig:
             sigma_p=self.sigma_p_m, sigma_o=self.sigma_o_rad)
 
 
-# key in config text -> (attribute, parse, format)
-_KEY_SPEC = {
-    "geometry.R_m": ("radius_m", float, repr),
-    "geometry.alpha_rad": ("alpha_rad", float, repr),
-    "geometry.beta_rad": ("beta_rad", float, repr),
-    "beam.w0_m": ("w0_m", float, repr),
-    "beam.wavelength_m": ("wavelength_m", float, repr),
-    "beam.cn2": ("cn2", float, repr),
-    "detector.radius_m": ("detector_radius_m", float, repr),
-    "stability.sigma_p_m": ("sigma_p_m", float, repr),
-    "stability.sigma_o_rad": ("sigma_o_rad", float, repr),
-    "sweep.variable": ("sweep_variable", str, str),
-    "sweep.values": ("sweep_values", _parse_floats, _fmt_floats),
-    "sweep.sigma_unit": ("sweep_sigma_unit", str, str),
-    "sweep.distances_m": ("sweep_distances_m", _parse_floats, _fmt_floats),
-    "bounds.offsets_m": ("bounds_offsets_m", _parse_offsets, _fmt_offsets),
-    "pdf.n_bins": ("pdf_n_bins", int, str),
-    "mc.n_trials": ("n_trials", int, str),
-    "mc.seed": ("seed", int, str),
-    "quadrature.rel_tol": ("rel_tol", float, repr),
-    "output.path": ("output_path", str, str),
-    "output.format": ("output_format", str, str),
-}
-
-# degree-valued conveniences mapped onto their radian keys
-_DEG_KEYS = {
-    "geometry.alpha_deg": "geometry.alpha_rad",
-    "geometry.beta_deg": "geometry.beta_rad",
-    "stability.sigma_o_deg": "stability.sigma_o_rad",
-}
+# key in config text -> its field, in declaration (and echo) order
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -162,19 +144,19 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        target = _DEG_KEYS.get(key, key)
-        if target not in _KEY_SPEC:
+        # any *_rad key may be given in degrees as *_deg
+        target = key[:-len("_deg")] + "_rad" if key.endswith("_deg") else key
+        if target not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if target in seen:  # a key and its degree form set one field
             first, first_key = seen[target]
             clash = "duplicate key" if key == first_key else f"{key!r} conflicts with"
             raise ConfigError(f"line {lineno}: {clash} {first_key!r} (first set on line {first})")
         seen[target] = lineno, key
-        attr, parse, _fmt = _KEY_SPEC[target]
-        if key != target:
-            parse = lambda v: float(v) * DEG
+        f = _FIELDS[target]
+        parse = f.metadata["parse"] if key == target else lambda v: float(v) * DEG
         try:
-            values[attr] = parse(val)
+            values[f.name] = parse(val)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {lineno}: field {key}: {e}") from e
     return values
@@ -198,12 +180,10 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig):
-    if cfg.output_format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {cfg.output_format!r}")
-    if cfg.sweep_variable not in ("alpha", "sigma"):
-        raise ConfigError(f"sweep.variable must be alpha or sigma, got {cfg.sweep_variable!r}")
-    if cfg.sweep_sigma_unit not in ("cm", "mrad"):
-        raise ConfigError(f"sweep.sigma_unit must be cm or mrad, got {cfg.sweep_sigma_unit!r}")
+    for key, f in _FIELDS.items():
+        value, choices = getattr(cfg, f.name), f.metadata["choices"]
+        if choices and value not in choices:
+            raise ConfigError(f"{key} must be {' or '.join(choices)}, got {value!r}")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values must not be empty")
     if tuple(sorted(cfg.sweep_values)) != cfg.sweep_values:
@@ -217,6 +197,8 @@ def _validate_config(cfg: ExperimentConfig):
     if cfg.pdf_n_bins < 0:
         raise ConfigError("pdf.n_bins must be >= 0 (0 selects the Sturges rule)")
     # checked before anything is computed, since the table is written last
+    if not cfg.output_path:
+        raise ConfigError("output.path must not be empty ('-' is stdout)")
     out_dir = os.path.dirname(cfg.output_path) or "."
     if cfg.output_path != "-" and (not os.path.isdir(out_dir) or os.path.isdir(cfg.output_path)):
         raise ConfigError(f"output.path {cfg.output_path!r} is not a file in an existing directory")
@@ -224,10 +206,7 @@ def _validate_config(cfg: ExperimentConfig):
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
     """Canonical effective-config block; reparses to an equal config."""
-    out = []
-    for key, (attr, _parse, fmt) in _KEY_SPEC.items():
-        out.append(f"{key} = {fmt(getattr(cfg, attr))}")
-    return out
+    return [f"{key} = {f.metadata['fmt'](getattr(cfg, f.name))}" for key, f in _FIELDS.items()]
 
 
 def config_sha256(cfg: ExperimentConfig) -> str:
@@ -337,7 +316,7 @@ def cmd_average_loss(cfg: ExperimentConfig):
     with _model_errors():
         grid = [(dist_m, s, _plans(cfg, stochastic.PoseDistribution.from_spherical(
                     dist_m, cfg.alpha_rad, cfg.beta_rad, **{name: s * scale}),
-                    ("exact", "approx_mean")))
+                    mc.LOSS_KERNELS))
                 for dist_m in cfg.sweep_distances_m or (cfg.radius_m,)
                 for s in cfg.sweep_values]
     rows = []
@@ -365,7 +344,8 @@ def cmd_pdf(cfg: ExperimentConfig):
     with _model_errors():
         (plan,) = _plans(cfg, cfg.distribution(), ("exact",))
     samples, stats = mc.run_trials(plan)
-    pdf = stochastic.geoloss_pdf(plan.distribution, plan.beam, plan.detector)
+    with _model_errors():  # the tracking constants are undefined at their poles
+        pdf = stochastic.geoloss_pdf(plan.distribution, plan.beam, plan.detector)
     n_bins = cfg.pdf_n_bins or mc.sturges_bins(len(samples))
     hist = mc.build_histogram(samples, n_bins)
     stat, dof, p_value = mc.chi_square_gof(hist, pdf)
@@ -419,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=_FIELDS["output.format"].metadata["choices"],
+                       help="output format")
         p.add_argument("--seed", type=int, help="Monte Carlo seed")
         p.add_argument("--trials", type=int, help="Monte Carlo trial count")
         p.add_argument("--tol", type=float, help="quadrature relative tolerance")

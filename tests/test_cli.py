@@ -115,6 +115,69 @@ class TestConfigParsing:
         text = render_table(cfg, "bounds", ("a", "b"), [[1.0, 2.0]])
         assert parse_effective_config(text) == cfg
 
+    @pytest.mark.parametrize("key", ["sweep.values", "sweep.distances_m"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_list_entry_is_a_field_error(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"mc.seed = 1\n{key} = 0.5, {value}")
+        assert str(err.value) == (
+            f"line 2: field {key}: expected finite numbers, got '0.5, {value}'")
+
+
+class TestConfigEcho:
+    """Every table echoes and hashes the config, so its keys, their order
+    and their formats are an output contract."""
+
+    def test_default_config_sha256(self):
+        assert cli.config_sha256(load_config(None)) == (
+            "2124f813303442365c18dfc0c3fd9ce763253e27e64e2e77188c0e8c0e47d9f9")
+
+    def test_config_lines_of_a_non_default_config(self):
+        cfg = load_config(
+            None, radius_m=800.0, alpha_rad=0.25, beta_rad=1.0, w0_m=2e-3,
+            wavelength_m=1.31e-6, cn2=5e-15, detector_radius_m=0.05, sigma_p_m=0.01,
+            sigma_o_rad=1e-4, sweep_variable="sigma", sweep_values=(0.5, 1.0, 2.5),
+            sweep_sigma_unit="cm", sweep_distances_m=(300.0, 600.0),
+            bounds_offsets_m=((0.0, 0.0), (0.05, -0.02)), pdf_n_bins=30, n_trials=5000,
+            seed=42, rel_tol=1e-6, output_path="-", output_format="json")
+        assert config_lines(cfg) == [
+            "geometry.R_m = 800.0",
+            "geometry.alpha_rad = 0.25",
+            "geometry.beta_rad = 1.0",
+            "beam.w0_m = 0.002",
+            "beam.wavelength_m = 1.31e-06",
+            "beam.cn2 = 5e-15",
+            "detector.radius_m = 0.05",
+            "stability.sigma_p_m = 0.01",
+            "stability.sigma_o_rad = 0.0001",
+            "sweep.variable = sigma",
+            "sweep.values = 0.5,1.0,2.5",
+            "sweep.sigma_unit = cm",
+            "sweep.distances_m = 300.0,600.0",
+            "bounds.offsets_m = 0.0:0.0;0.05:-0.02",
+            "pdf.n_bins = 30",
+            "mc.n_trials = 5000",
+            "mc.seed = 42",
+            "quadrature.rel_tol = 1e-06",
+            "output.path = -",
+            "output.format = json",
+        ]
+
+    def test_degree_keys_are_the_radian_keys(self):
+        keys = [line.split(" = ")[0] for line in config_lines(load_config(None))]
+        # each key with its last '_'-suffix, if any, replaced by '_deg'
+        candidates = {k.rsplit("_", 1)[0] + "_deg" for k in keys if "_" in k.split(".")[1]}
+        accepted = set()
+        for key in candidates:
+            try:
+                parse_config_text(f"{key} = 1")
+            except ConfigError as e:
+                assert str(e) == f"line 1: unknown key {key!r}"
+            else:
+                accepted.add(key)
+        assert "geometry.R_deg" in candidates - accepted
+        assert accepted == {"geometry.alpha_deg", "geometry.beta_deg", "stability.sigma_o_deg"}
+
 
 class TestRenderTable:
     def test_csv_layout(self):
@@ -304,6 +367,21 @@ class TestCmdPdf:
         assert capsys.readouterr().err == (
             f"config error: pdf.n_bins = {n_bins} exceeds mc.n_trials = 2000\n")
 
+    @pytest.mark.parametrize("text", ["geometry.beta_rad = 1e-10",
+                                      "geometry.alpha_rad = 1.5707963267"],
+                             ids=["beta-pole", "alpha-pole"])
+    def test_tracking_pole_is_a_config_error(self, tmp_path, capsys, text):
+        # the density's tracking constants are undefined at the mean pose;
+        # found only after the (far-field marginal) trials have run
+        cfgfile, out = tmp_path / "pdf.cfg", tmp_path / "pdf.csv"
+        cfgfile.write_text(f"{text}\nstability.sigma_o_rad = 0.0001\nmc.n_trials = 200\n")
+        with pytest.warns(UserWarning, match="far-field"):
+            assert main(["pdf", "--config", str(cfgfile), "--out", str(out)]) \
+                == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(
+            "config error: tracking constants undefined at")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_bins", [100, 400, 2000])
     def test_thin_interior_cells_are_pooled(self, tmp_path, n_bins):
         # each once ended inconclusive (exit 3) on interior cells expecting
@@ -430,6 +508,21 @@ class TestMain:
         assert main(argv) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("config error: output.path")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("text, flags", [("", ["--out", ""]), ("output.path =\n", [])],
+                             ids=["flag", "key"])
+    def test_empty_output_path_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                 text, flags):
+        # once read as the directory '.', so the table was computed and then
+        # failed to open
+        def computed(*_args, **_kwargs):
+            pytest.fail("a loss was computed")
+        monkeypatch.setattr(cli.geoloss_mod, "bounds_batch", computed)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main(["bounds", "--config", str(cfgfile), *flags]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: output.path must not be empty ('-' is stdout)\n")
 
     @pytest.mark.parametrize("text, crossed", [
         # the README pose, a = 0.6 m against w = 0.49 m: the offset row crosses,
