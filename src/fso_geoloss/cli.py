@@ -341,10 +341,11 @@ def cmd_pdf(cfg: ExperimentConfig):
         raise ConfigError("pdf requires stability.sigma_p_m or stability.sigma_o_rad > 0")
     if cfg.pdf_n_bins > cfg.n_trials:  # the GOF's cells would outnumber the samples
         raise ConfigError(f"pdf.n_bins = {cfg.pdf_n_bins} exceeds mc.n_trials = {cfg.n_trials}")
-    with _model_errors():
-        (plan,) = _plans(cfg, cfg.distribution(), ("exact",))
-    samples, stats = mc.run_trials(plan)
     with _model_errors():  # the tracking constants are undefined at their poles
+        (plan,) = _plans(cfg, cfg.distribution(), ("exact",))
+        stochastic.tracking_constants(plan.distribution)
+    samples, stats = mc.run_trials(plan)
+    with _model_errors():  # after run_trials: perfbench pairs the density with its samples
         pdf = stochastic.geoloss_pdf(plan.distribution, plan.beam, plan.detector)
     n_bins = cfg.pdf_n_bins or mc.sturges_bins(len(samples))
     hist = mc.build_histogram(samples, n_bins)

@@ -370,14 +370,15 @@ class TestCmdPdf:
     @pytest.mark.parametrize("text", ["geometry.beta_rad = 1e-10",
                                       "geometry.alpha_rad = 1.5707963267"],
                              ids=["beta-pole", "alpha-pole"])
-    def test_tracking_pole_is_a_config_error(self, tmp_path, capsys, text):
+    def test_tracking_pole_is_a_config_error(self, tmp_path, monkeypatch, capsys, text):
         # the density's tracking constants are undefined at the mean pose;
-        # found only after the (far-field marginal) trials have run
+        # reported before any trial runs, where all 100000 default trials once ran
+        def computed(*_args, **_kwargs):
+            pytest.fail("a trial was run")
+        monkeypatch.setattr(mc, "run_trials", computed)
         cfgfile, out = tmp_path / "pdf.cfg", tmp_path / "pdf.csv"
-        cfgfile.write_text(f"{text}\nstability.sigma_o_rad = 0.0001\nmc.n_trials = 200\n")
-        with pytest.warns(UserWarning, match="far-field"):
-            assert main(["pdf", "--config", str(cfgfile), "--out", str(out)]) \
-                == EXIT_CONFIG_ERROR
+        cfgfile.write_text(f"{text}\nstability.sigma_o_rad = 0.0001\n")
+        assert main(["pdf", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(
             "config error: tracking constants undefined at")
         assert not out.exists()
@@ -479,7 +480,9 @@ class TestMain:
         rc = main(["validate"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
-        assert "erf_series_oracle" in out
+        assert "approx_bracket" in out
+        # scipy's erf and i0e are checked through the model, not on their own
+        assert "erf_series_oracle" not in out and "i0_series_oracle" not in out
 
     def test_validate_json_format(self, capsys):
         rc = main(["validate", "--format", "json"])
@@ -671,6 +674,29 @@ class TestValidateMutationDetection:
         with pytest.warns(UserWarning, match="far-field"):
             beam_mod.check_far_field(1000.0, 5.0)
         assert 0 < kept() < before
+
+    def test_erf_bias_fails_the_approx_bracket(self, monkeypatch):
+        # A0 = erf(nu_min) erf(nu_max) is held to the C library's erf at 1e-13
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss.validate import check_approx_bracket
+
+        assert check_approx_bracket(geoloss_mod.DEFAULT_REL_TOL).passed
+        true_erf = geoloss_mod.erf
+        monkeypatch.setattr(geoloss_mod, "erf", lambda x: true_erf(x) * (1.0 + 1e-12))
+        assert not check_approx_bracket(geoloss_mod.DEFAULT_REL_TOL).passed
+
+    @pytest.mark.parametrize("check", ["check_cdf_matches_density",
+                                       "check_rayleigh_reduction"])
+    def test_i0e_bias_fails_the_density_checks(self, monkeypatch, check):
+        # pdf_normalization is left out: its quad warns on a biased density
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss import validate
+
+        run = getattr(validate, check)
+        assert run(geoloss_mod.DEFAULT_REL_TOL).passed
+        true_i0e = stochastic.i0e
+        monkeypatch.setattr(stochastic, "i0e", lambda x: true_i0e(x) * (1.0 + 1e-5))
+        assert not run(geoloss_mod.DEFAULT_REL_TOL).passed
 
     def test_swapped_bound_axes_reported(self, monkeypatch):
         # classic implementation bug: the lower bound built with the axes

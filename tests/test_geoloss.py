@@ -140,6 +140,63 @@ class TestExactLoss:
         assert least < 1e-250
         assert worst <= geoloss_mod.DEFAULT_REL_TOL
 
+    def test_tilted_loss_matches_the_strip_integral(self):
+        # an oracle at any incidence that does not share the polar rule: the
+        # projected intensity is the Gaussian density N(f, (w^2/4) (I - e e^T)^-1),
+        # e = (d_y, d_z) the in-plane part of the unit beam direction d and w
+        # taken at |r|.  Along e its width is w / (2 |d_x|), across e it is w / 2,
+        # so in that frame, footprint at (c1, c2), the capture is the strip
+        # integral over t in [-a, a] of phi(t; c1, s1) * P(|Z| <= sqrt(a^2 - t^2)),
+        # Z ~ N(c2, s2).  It is split at the disk point nearest the footprint,
+        # and each value is confirmed by doubling its pieces
+        mp = pytest.importorskip("mpmath")
+
+        def strip_capture(pose, a, doublings):
+            r = pose.position
+            dx, dy, dz = map(mp.mpf, direction_from_angles(pose.orientation))
+            fy, fz = r.ry - r.rx * dy / dx, r.rz - r.rx * dz / dx
+            w = mp.mpf(beam_width(BEAM, math.sqrt(r.rx**2 + r.ry**2 + r.rz**2)))
+            e, a = mp.hypot(dy, dz), mp.mpf(a)
+            c1, c2 = (dy * fy + dz * fz) / e, abs(dy * fz - dz * fy) / e
+            s1, s2 = w / (2 * abs(dx)), w / 2
+
+            def g(t):
+                h = mp.sqrt(a * a - t * t)
+                return mp.npdf(t, c1, s1) * (mp.ncdf(h, c2, s2) - mp.ncdf(-h, c2, s2))
+
+            points = [-a, c1 * a / max(mp.hypot(c1, c2), a), a]
+            for _ in range(doublings):
+                points = sorted(points + [(p + q) / 2 for p, q in zip(points, points[1:])])
+            # mp.quad's convergence test is absolute, so integrate g at order 1
+            peak = max(map(g, points))
+            return peak * mp.quad(lambda t: g(t) / peak, points)
+
+        worst, captures = 0.0, []
+        with mp.workdps(25):
+            for dist, alpha, beta, a, fy, fz in [
+                (200.0, 0.9, 0.4, 0.01, 0.0, 0.0),
+                (1000.0, 0.3, 1.2, 0.3, 0.05, -0.05),
+                (1000.0, math.pi / 8, 5 * math.pi / 8, 0.1, 0.1, 0.1),
+                (1500.0, 1.3, 1.4, 0.05, 1.0, 0.5),
+                (2000.0, -0.7, 2.6, 0.3, 2.0, -1.5),
+                (3000.0, 1.45, 0.2, 0.5, -4.0, 3.0),
+                (500.0, 1.2, 2.0, 0.01, 1.5, -0.3),
+                (2500.0, 1.0, 0.7, 0.2, 6.0, 10.0),
+                (1000.0, 0.4, 0.3, 0.02, 2.5, 1.0),
+                (800.0, -1.1, 1.9, 0.05, -2.0, 2.5),
+                (1000.0, -0.2, 1.0, 0.02, 4.0, -1.0),
+                (2000.0, 0.2, 1.3, 0.1, 8.0, -8.0),
+            ]:
+                pose = tracked_pose(dist, alpha, beta, fy, fz)
+                assert 0.02 < math.sin(incidence_angle(pose.orientation)) < 0.95
+                ref = strip_capture(pose, a, 0)
+                assert abs(strip_capture(pose, a, 1) / ref - 1) <= 1e-12
+                got = exact_loss(pose, BEAM, DetectorParams(a))
+                worst = max(worst, float(abs(got - ref) / ref))
+                captures.append(got)
+        assert max(captures) > 0.3 and min(captures) < 1e-100
+        assert worst <= geoloss_mod.DEFAULT_REL_TOL
+
     def test_default_value(self):
         # frozen: 1 - exp(-2 a^2 / w(1 km)^2) with w = 0.4934910867329322
         got = exact_loss(tracked_pose(1000.0, 0.0, math.pi / 2), BEAM, DET)
