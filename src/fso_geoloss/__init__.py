@@ -43,7 +43,7 @@ from .montecarlo import (
     run_trials,
     sample_pose,
 )
-from .numerics import QuadratureError, SymMatrix2, disk_quadrature, eig_sym2
+from .numerics import QuadratureError, disk_quadrature
 from .stochastic import (
     GeoLossPdf,
     HoytParams,
@@ -73,7 +73,6 @@ __all__ = [
     "PoseDistribution",
     "Position",
     "QuadratureError",
-    "SymMatrix2",
     "TrialPlan",
     "approx_bounds",
     "approx_mean",
@@ -88,7 +87,6 @@ __all__ = [
     "coherence_length",
     "covariance_sigma",
     "disk_quadrature",
-    "eig_sym2",
     "exact_loss",
     "footprint_center",
     "geoloss_pdf",

@@ -1,4 +1,4 @@
-"""Disk quadrature, its nodes' quadratic basis, and a 2x2 symmetric eigensolver.
+"""Disk quadrature and its nodes' quadratic basis.
 
 The model's special functions (erf, the scaled Bessel function i0e) come
 from `scipy.special`.  Everything here is pure and deterministic: identical
@@ -9,7 +9,6 @@ and across any parallel evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,24 +21,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.last_diff = last_diff
-
-
-@dataclass(frozen=True)
-class SymMatrix2:
-    """Symmetric 2x2 matrix; a12 is the shared off-diagonal entry."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
-    def is_psd(self, tol: float = 0.0) -> bool:
-        return self.a11 >= -tol and self.a22 >= -tol and self.det() >= -tol
 
 
 @lru_cache(maxsize=32)
@@ -152,10 +133,3 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
         best_estimate=float(prev) if n is None else prev,
         last_diff=float(np.max(diff if n is None else diff[~done])),
     )
-
-
-def eig_sym2(m: SymMatrix2) -> tuple[float, float]:
-    """Eigenvalues of a symmetric 2x2 matrix, largest first (closed form)."""
-    mean = 0.5 * (m.a11 + m.a22)
-    disc = math.hypot(0.5 * (m.a11 - m.a22), m.a12)
-    return mean + disc, mean - disc

@@ -27,7 +27,7 @@ from .geometry import (
     tracking_orientation,
 )
 from .geoloss import DetectorParams
-from .numerics import QuadratureError, SymMatrix2, eig_sym2
+from .numerics import QuadratureError
 
 # perfect tracking must hold to within this footprint distance [m]
 TRACKING_TOL = 1e-9
@@ -140,37 +140,47 @@ def tracking_constants(d: PoseDistribution) -> tuple[float, float, float, float,
     return c1, c2, c3, c4, c5
 
 
-def covariance_sigma(d: PoseDistribution) -> SymMatrix2:
-    """Covariance of the linearized footprint coordinates (fy, fz)."""
+def _footprint_jacobian(d: PoseDistribution) -> np.ndarray:
+    """J = d(fy, fz)/d(x, y, z, theta, phi) at the mean pose, a (2, 5) array
+    with columns in `PoseDistribution.sigmas()` order: the footprint of a
+    pose perturbation eps is J @ eps to first order."""
     c1, c2, c3, c4, c5 = tracking_constants(d)
-    vx, vy, vz = d.sigma_x**2, d.sigma_y**2, d.sigma_z**2
-    vt, vp = d.sigma_theta**2, d.sigma_phi**2
-    return SymMatrix2(
-        a11=vy + c1 * c1 * vx + c2 * c2 * vt,
-        a12=c1 * c5 * vx + c2 * c4 * vt,
-        a22=vz + c3 * c3 * vp + c4 * c4 * vt + c5 * c5 * vx,
-    )
+    return np.array([[c1, 1.0, 0.0, c2, 0.0],
+                     [c5, 0.0, 1.0, c4, c3]])
+
+
+def covariance_sigma(d: PoseDistribution) -> np.ndarray:
+    """Covariance J S J^T of the linearized footprint coordinates (fy, fz),
+    S the diagonal pose covariance, as a (2, 2) array."""
+    j = _footprint_jacobian(d)
+    return (j * d.sigmas() ** 2) @ j.T
 
 
 def linearized_footprint(d: PoseDistribution, eps) -> FootprintCenter:
-    """First-order footprint for pose perturbation eps = (ex, ey, ez, et, ep)."""
-    c1, c2, c3, c4, c5 = tracking_constants(d)
-    ex, ey, ez, et, ep = eps
-    return FootprintCenter(
-        fy=ey + c1 * ex + c2 * et,
-        fz=ez + c3 * ep + c4 * et + c5 * ex,
-    )
+    """First-order footprint J @ eps for pose perturbations
+    eps = (ex, ey, ez, et, ep), of shape (5,) or (5, n)."""
+    return FootprintCenter(*(_footprint_jacobian(d) @ eps))
 
 
-def hoyt_params(sigma: SymMatrix2) -> HoytParams:
-    """Hoyt parameters from a positive-semidefinite footprint covariance."""
-    scale = max(abs(sigma.a11), abs(sigma.a22), abs(sigma.a12))
+def hoyt_params(sigma) -> HoytParams:
+    """Hoyt parameters from a positive-semidefinite footprint covariance, a
+    finite (2, 2) array symmetric to 1e-12 of its largest entry."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (2, 2) or not np.isfinite(sigma).all():
+        raise ValueError(f"covariance must be a finite (2, 2) array, got {sigma.tolist()}")
+    (a11, a12), (a21, a22) = sigma.tolist()
+    scale = float(np.abs(sigma).max())
     if scale == 0.0:
         raise ValueError("zero covariance matrix: the offset is deterministic")
-    if not sigma.is_psd(tol=1e-12 * scale):
-        raise ValueError(f"covariance matrix is not positive semidefinite: {sigma}")
-    lam1, lam2 = eig_sym2(sigma)
-    lam2 = max(lam2, 0.0)
+    tol = 1e-12 * scale
+    if abs(a12 - a21) > tol:
+        raise ValueError(f"covariance matrix is not symmetric: {sigma.tolist()}")
+    if min(a11, a22, a11 * a22 - a12 * a12) < -tol:
+        raise ValueError(f"covariance matrix is not positive semidefinite: {sigma.tolist()}")
+    # closed-form eigenvalues, largest first
+    mean = 0.5 * (a11 + a22)
+    disc = math.hypot(0.5 * (a11 - a22), a12)
+    lam1, lam2 = mean + disc, max(mean - disc, 0.0)
     if lam2 == 0.0:
         raise ValueError(
             "covariance matrix is singular: the offset norm is not Hoyt distributed"

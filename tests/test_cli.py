@@ -698,6 +698,37 @@ class TestValidateMutationDetection:
         monkeypatch.setattr(stochastic, "i0e", lambda x: true_i0e(x) * (1.0 + 1e-5))
         assert not run(geoloss_mod.DEFAULT_REL_TOL).passed
 
+    @staticmethod
+    def validate_rows(path):
+        text = path.read_text()
+        rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+        assert rows[0] == ["check", "passed", "detail"]
+        return {name: (passed, detail) for name, passed, detail in rows[1:]}
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    def test_warning_raised_as_error_is_a_failed_row(self, monkeypatch, tmp_path):
+        # a biased density makes pdf_normalization's quad warn, which is
+        # that check's failed row while the other checks still run
+        true_i0e = stochastic.i0e
+        monkeypatch.setattr(stochastic, "i0e", lambda x: true_i0e(x) * (1.0 + 1e-6))
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--out", str(out)]) == EXIT_VALIDATION_FAILURE
+        rows = self.validate_rows(out)
+        assert len(rows) == 16
+        passed, detail = rows["pdf_normalization"]
+        assert passed == "False" and "IntegrationWarning" in detail
+
+    def test_unconverged_quadrature_is_a_failed_row(self, tmp_path):
+        # at 1e-14 the chi-square oracle's poses need more than the
+        # quadrature's last order; the other 15 checks pass
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--tol", "1e-14", "--out", str(out)]) == 1
+        rows = self.validate_rows(out)
+        assert len(rows) == 16
+        assert [name for name, (passed, _) in rows.items() if passed != "True"] \
+            == ["orthogonal_chi_square"]
+        assert "QuadratureError" in rows["orthogonal_chi_square"][1]
+
     def test_swapped_bound_axes_reported(self, monkeypatch):
         # classic implementation bug: the lower bound built with the axes
         # swapped turns into the upper bound and breaks the ordering

@@ -7,11 +7,9 @@ from scipy.special import erf, i0e
 from fso_geoloss.numerics import (
     BLOCK,
     QuadratureError,
-    SymMatrix2,
     _block_sums,
     _polar_rule,
     disk_quadrature,
-    eig_sym2,
 )
 
 
@@ -202,29 +200,3 @@ class TestDiskQuadrature:
         assert err.value.best_estimate[0] == disk_quadrature(g, 1.0, rel_tol=1e-12)
         assert err.value.last_diff > 1e-12 * abs(err.value.best_estimate[1])
 
-
-class TestEigSym2:
-    def test_diagonal(self):
-        assert eig_sym2(SymMatrix2(3.0, 0.0, 5.0)) == (5.0, 3.0)
-
-    def test_identity(self):
-        assert eig_sym2(SymMatrix2(1.0, 0.0, 1.0)) == (1.0, 1.0)
-
-    def test_coupled(self):
-        l1, l2 = eig_sym2(SymMatrix2(2.0, 1.0, 2.0))
-        assert (l1, l2) == pytest.approx((3.0, 1.0), rel=1e-14)
-
-    def test_trace_det_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a, c = rng.uniform(1e-6, 1e6, 2)
-            b = rng.uniform(-math.sqrt(a * c), math.sqrt(a * c))
-            m = SymMatrix2(a, b, c)
-            l1, l2 = eig_sym2(m)
-            assert l1 >= l2
-            assert l1 + l2 == pytest.approx(m.trace(), rel=1e-12)
-            assert l1 * l2 == pytest.approx(m.det(), rel=1e-12, abs=1e-12 * a * c)
-
-    def test_psd_helper(self):
-        assert SymMatrix2(1.0, 0.5, 1.0).is_psd()
-        assert not SymMatrix2(1.0, 2.0, 1.0).is_psd()

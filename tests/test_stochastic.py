@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from fso_geoloss.beam import BeamParams
 from fso_geoloss.geometry import Orientation, Pose, Position, footprint_center
 from fso_geoloss.geoloss import DetectorParams, approx_params
-from fso_geoloss.numerics import SymMatrix2
 from fso_geoloss.montecarlo import _chunk_eps, frozen_params_spread, sample_pose
 from fso_geoloss.stochastic import (
     DegenerateTrackingError,
@@ -71,21 +70,23 @@ class TestPoseDistribution:
 
 class TestTrackingConstants:
     def test_partial_derivatives_by_finite_differences(self):
+        # all ten entries of J = d(fy, fz)/d(x, y, z, theta, phi), the
+        # structural 1s and 0s included: the linearized footprint of each
+        # unit perturbation against a finite difference of the exact one
         d = fig4_distribution()
-        c = tracking_constants(d)
         h = 1e-7
-        base = footprint_center(Pose(d.mu_r, d.mu_omega))
+        mu = np.array([d.mu_r.rx, d.mu_r.ry, d.mu_r.rz,
+                       d.mu_omega.theta, d.mu_omega.phi])
 
-        def fp(dx=0.0, dth=0.0, dph=0.0):
-            pose = Pose(Position(d.mu_r.rx + dx, d.mu_r.ry, d.mu_r.rz),
-                        Orientation(d.mu_omega.theta + dth, d.mu_omega.phi + dph))
-            return footprint_center(pose)
+        def fp(p):
+            f = footprint_center(Pose(Position(*p[:3]), Orientation(*p[3:])))
+            return np.array([f.fy, f.fz])
 
-        assert (fp(dx=h).fy - base.fy) / h == pytest.approx(c[0], rel=1e-6)
-        assert (fp(dth=h).fy - base.fy) / h == pytest.approx(c[1], rel=1e-6)
-        assert (fp(dph=h).fz - base.fz) / h == pytest.approx(c[2], rel=1e-6)
-        assert (fp(dth=h).fz - base.fz) / h == pytest.approx(c[3], rel=1e-6)
-        assert (fp(dx=h).fz - base.fz) / h == pytest.approx(c[4], rel=1e-6)
+        base = fp(mu)
+        for unit in np.eye(5):
+            lin = linearized_footprint(d, unit)
+            fd = (fp(mu + h * unit) - base) / h
+            assert list(fd) == pytest.approx([lin.fy, lin.fz], rel=1e-6)
 
     def test_pole_rejected(self):
         # duck-typed stand-in: the real constructor rejects these earlier
@@ -112,9 +113,9 @@ class TestCovarianceSigma:
                                             sigma_p=sp, sigma_o=so)
         s = covariance_sigma(d)
         expected = sp * sp + mu_x * mu_x * so * so
-        assert s.a11 == pytest.approx(expected, rel=1e-12)
-        assert s.a22 == pytest.approx(expected, rel=1e-12)
-        assert s.a12 == pytest.approx(0.0, abs=1e-18)
+        assert s[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert s[1, 1] == pytest.approx(expected, rel=1e-12)
+        assert s[0, 1] == pytest.approx(0.0, abs=1e-18)
 
     def test_boresight_negative_x_matches_positive(self):
         sp, so = 0.01, 1e-4
@@ -125,14 +126,15 @@ class TestCovarianceSigma:
                               sigma_x=sp, sigma_y=sp, sigma_z=sp,
                               sigma_theta=so, sigma_phi=so)
         spos, sneg = covariance_sigma(dp), covariance_sigma(dn)
-        assert sneg.a11 == pytest.approx(spos.a11, rel=1e-12)
-        assert sneg.a22 == pytest.approx(spos.a22, rel=1e-12)
-        assert sneg.a12 == pytest.approx(spos.a12, abs=1e-18)
+        assert sneg[0, 0] == pytest.approx(spos[0, 0], rel=1e-12)
+        assert sneg[1, 1] == pytest.approx(spos[1, 1], rel=1e-12)
+        assert sneg[0, 1] == pytest.approx(spos[0, 1], abs=1e-18)
 
     def test_all_zero_sigmas_give_zero_matrix(self):
         d = fig4_distribution(sigma_p=0.0, sigma_o=0.0)
         s = covariance_sigma(d)
-        assert s.a11 == s.a12 == s.a22 == 0.0
+        assert s.shape == (2, 2)
+        assert (s == 0.0).all()
 
     def test_matches_monte_carlo_footprints(self):
         d = fig4_distribution()
@@ -140,43 +142,92 @@ class TestCovarianceSigma:
         eps = sample_eps(d, 1_000_000, seed=1)
         fy, fz = exact_footprints(d, eps)
         c = np.cov(fy, fz)
-        assert c[0, 0] == pytest.approx(s.a11, rel=0.03)
-        assert c[0, 1] == pytest.approx(s.a12, rel=0.03)
-        assert c[1, 1] == pytest.approx(s.a22, rel=0.03)
+        assert c[0, 0] == pytest.approx(s[0, 0], rel=0.03)
+        assert c[0, 1] == pytest.approx(s[0, 1], rel=0.03)
+        assert c[1, 1] == pytest.approx(s[1, 1], rel=0.03)
 
     def test_positive_semidefinite(self):
         d = fig4_distribution()
-        assert covariance_sigma(d).is_psd()
+        s = covariance_sigma(d)
+        assert s[0, 1] == pytest.approx(s[1, 0], rel=1e-15)
+        assert s[0, 0] >= 0.0 and s[1, 1] >= 0.0
+        assert s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0] >= 0.0
 
 
 class TestHoytParams:
     def test_equal_eigenvalues(self):
-        hp = hoyt_params(SymMatrix2(2.0, 0.0, 2.0))
+        hp = hoyt_params(np.diag([2.0, 2.0]))
         assert hp.q == 1.0
         assert hp.omega == 4.0
 
     def test_diagonal(self):
-        hp = hoyt_params(SymMatrix2(4.0, 0.0, 1.0))
+        hp = hoyt_params(np.diag([4.0, 1.0]))
         assert hp.q == pytest.approx(0.5)
         assert hp.omega == pytest.approx(5.0)
 
+    def test_eigenvalues_largest_first(self):
+        hp = hoyt_params(np.diag([3.0, 5.0]))
+        assert (hp.lambda1, hp.lambda2) == (5.0, 3.0)
+
     def test_coupled(self):
-        hp = hoyt_params(SymMatrix2(2.0, 1.0, 2.0))
+        hp = hoyt_params(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert (hp.lambda1, hp.lambda2) == pytest.approx((3.0, 1.0))
         assert hp.q == pytest.approx(1.0 / math.sqrt(3.0))
         assert hp.omega == pytest.approx(4.0)
 
+    def test_identity_gives_unit_eigenvalues(self):
+        hp = hoyt_params(np.eye(2))
+        assert (hp.lambda1, hp.lambda2) == (1.0, 1.0)
+
+    def test_coupled_eigenvalues_to_1e_14(self):
+        hp = hoyt_params(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert (hp.lambda1, hp.lambda2) == pytest.approx((3.0, 1.0), rel=1e-14)
+
+    def test_psd_accepted_and_indefinite_rejected(self):
+        hp = hoyt_params(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert (hp.lambda1, hp.lambda2) == pytest.approx((1.5, 0.5), rel=1e-14)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            hoyt_params(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero covariance"):
-            hoyt_params(SymMatrix2(0.0, 0.0, 0.0))
+            hoyt_params(np.zeros((2, 2)))
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            hoyt_params(SymMatrix2(1.0, 0.0, 0.0))
+            hoyt_params(np.diag([1.0, 0.0]))
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            hoyt_params(SymMatrix2(1.0, 2.0, 1.0))
+            hoyt_params(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("sigma, match", [
+        (np.eye(3), r"finite \(2, 2\) array"),
+        ([[1.0, math.nan], [math.nan, 1.0]], r"finite \(2, 2\) array"),
+        ([[1.0, 0.5], [0.4, 1.0]], "not symmetric"),
+    ], ids=["3x3", "nan", "asymmetric"])
+    def test_malformed_rejected(self, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            hoyt_params(sigma)
+
+    def test_rounding_asymmetry_accepted(self):
+        # J S J^T as a matrix product rounds its two off-diagonal entries apart
+        hp = hoyt_params([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert (hp.lambda1, hp.lambda2) == pytest.approx((1.5, 0.5))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=st.floats(1e-6, 1e6), ratio=st.floats(1e-3, 1e3),
+           corr=st.floats(-0.99, 0.99))
+    def test_eigenvalue_identities_on_psd_arrays(self, a, ratio, corr):
+        c = a * ratio
+        b = corr * math.sqrt(a * c)
+        hp = hoyt_params(np.array([[a, b], [b, c]]))
+        assert hp.lambda1 >= hp.lambda2 > 0.0
+        assert hp.lambda1 + hp.lambda2 == pytest.approx(a + c, rel=1e-12)
+        assert hp.lambda1 * hp.lambda2 == pytest.approx(a * c - b * b, rel=1e-12,
+                                                        abs=1e-12 * a * c)
+        assert hp.q == math.sqrt(hp.lambda2 / hp.lambda1)
+        assert hp.omega == hp.lambda1 + hp.lambda2
 
 
 def synthetic_pdf(q, varpi, a0=0.0787, w=0.4935):
@@ -371,8 +422,8 @@ class TestSamplePose:
         eps = sample_eps(d, 400_000, seed=2)
         fy, fz = exact_footprints(d, eps)
         c = np.cov(fy, fz)
-        assert c[0, 0] == pytest.approx(s.a11, rel=0.03)
-        assert c[1, 1] == pytest.approx(s.a22, rel=0.03)
+        assert c[0, 0] == pytest.approx(s[0, 0], rel=0.03)
+        assert c[1, 1] == pytest.approx(s[1, 1], rel=0.03)
 
 
 class TestLinearizedFootprint:
@@ -410,9 +461,9 @@ class TestLinearizedFootprint:
         c1, c2, c3, c4, c5 = tracking_constants(d)
         s = covariance_sigma(d)
         sig = d.sigmas()
-        assert s.a11 == pytest.approx(
+        assert s[0, 0] == pytest.approx(
             sig[1] ** 2 + c1**2 * sig[0] ** 2 + c2**2 * sig[3] ** 2, rel=1e-14)
-        assert s.a12 == pytest.approx(
+        assert s[0, 1] == pytest.approx(
             c1 * c5 * sig[0] ** 2 + c2 * c4 * sig[3] ** 2, rel=1e-14)
 
 
@@ -475,8 +526,8 @@ class TestSensitivityOrdering:
         bump_p = PoseDistribution.from_spherical(
             mu_x, 0.0, math.pi / 2, sigma_p=math.sqrt(1e-4 + dvar),
             sigma_o=1e-4)
-        d_o = (covariance_sigma(bump_o).a11 - s0.a11) / dvar
-        d_p = (covariance_sigma(bump_p).a11 - s0.a11) / dvar
+        d_o = (covariance_sigma(bump_o)[0, 0] - s0[0, 0]) / dvar
+        d_p = (covariance_sigma(bump_p)[0, 0] - s0[0, 0]) / dvar
         assert d_o == pytest.approx(mu_x**2, rel=1e-3)
         assert d_p == pytest.approx(1.0, rel=1e-3)
         assert d_o / d_p > 1e4
