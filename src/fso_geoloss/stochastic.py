@@ -173,14 +173,16 @@ def hoyt_params(sigma) -> HoytParams:
     if scale == 0.0:
         raise ValueError("zero covariance matrix: the offset is deterministic")
     tol = 1e-12 * scale
+    det = a11 * a22 - a12 * a21
     if abs(a12 - a21) > tol:
         raise ValueError(f"covariance matrix is not symmetric: {sigma.tolist()}")
-    if min(a11, a22, a11 * a22 - a12 * a12) < -tol:
+    if min(a11, a22, det) < -tol:
         raise ValueError(f"covariance matrix is not positive semidefinite: {sigma.tolist()}")
-    # closed-form eigenvalues, largest first
-    mean = 0.5 * (a11 + a22)
-    disc = math.hypot(0.5 * (a11 - a22), a12)
-    lam1, lam2 = mean + disc, max(mean - disc, 0.0)
+    # closed-form eigenvalues, largest first; lambda2 as det / lambda1, since
+    # mean - disc cancels when lambda2 << lambda1, capped at lambda1, which a
+    # rounded det / lambda1 can pass by an ulp when the two are equal
+    lam1 = 0.5 * (a11 + a22) + math.hypot(0.5 * (a11 - a22), a12)
+    lam2 = min(max(det, 0.0) / lam1, lam1)
     if lam2 == 0.0:
         raise ValueError(
             "covariance matrix is singular: the offset norm is not Hoyt distributed"

@@ -623,9 +623,13 @@ class TestValidateMutationDetection:
         from fso_geoloss.validate import check_orthogonal_chi_square
 
         assert check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
-        true_exact = geoloss_mod.exact_loss
-        monkeypatch.setattr(geoloss_mod, "exact_loss",
-                            lambda *args: true_exact(*args) * (1.0 + 1e-7))
+        true_bounds = geoloss_mod.bounds_batch
+
+        def biased(*args):
+            c = true_bounds(*args)
+            return c._replace(exact=c.exact * (1.0 + 1e-7))
+
+        monkeypatch.setattr(geoloss_mod, "bounds_batch", biased)
         assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
 
     def test_centred_bias_fails_the_chi_square_oracle(self, monkeypatch):
@@ -634,23 +638,44 @@ class TestValidateMutationDetection:
         # check, and those poses span L in {500, 1000, 2000} m and a in
         # {0.01, 0.05, 0.1, 0.2} m
         from fso_geoloss import geoloss as geoloss_mod
-        from fso_geoloss.geometry import footprint_center
+        from fso_geoloss.geometry import footprint_yz
         from fso_geoloss.validate import check_orthogonal_chi_square
 
-        true_exact = geoloss_mod.exact_loss
+        true_bounds = geoloss_mod.bounds_batch
         centred = set()
 
-        def biased(pose, b, det, rel_tol):
-            ex = true_exact(pose, b, det, rel_tol)
-            if footprint_center(pose).offset() > 1e-9:
-                return ex
-            centred.add((pose.position.rx, det.a))
-            return ex * (1.0 + 1e-7)
+        def biased(rx, ry, rz, theta, phi, b, det, rel_tol):
+            c = true_bounds(rx, ry, rz, theta, phi, b, det, rel_tol)
+            at_centre = np.hypot(*footprint_yz(rx, ry, rz, theta, phi)) <= 1e-9
+            centred.update((dist, det.a) for dist in rx[at_centre].tolist())
+            return c._replace(exact=np.where(at_centre, c.exact * (1.0 + 1e-7), c.exact))
 
-        monkeypatch.setattr(geoloss_mod, "exact_loss", biased)
+        monkeypatch.setattr(geoloss_mod, "bounds_batch", biased)
         assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
         assert centred >= {(dist, a) for dist in (500.0, 1000.0, 2000.0)
                            for a in (0.01, 0.05, 0.1, 0.2)}
+
+    def test_biased_lower_bound_fails_the_chi_square_oracle(self, monkeypatch):
+        # at orthogonal incidence each bound is the capture, so the oracle
+        # resolves a lower bound 1e-7 off in relative terms
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss.validate import check_orthogonal_chi_square
+
+        true_bound = geoloss_mod._bound
+        monkeypatch.setattr(geoloss_mod, "_bound", lambda f, a, rel_tol, upper:
+                            true_bound(f, a, rel_tol, upper) * (1.0 if upper else 1.0 + 1e-7))
+        assert not check_orthogonal_chi_square(geoloss_mod.DEFAULT_REL_TOL).passed
+
+    def test_late_block_sums_fail_the_chi_square_oracle(self, monkeypatch):
+        # a fault only the batched quadrature takes: each row's sum written
+        # one row late
+        from fso_geoloss import numerics
+
+        true_block_sums = numerics._block_sums
+        monkeypatch.setattr(numerics, "_block_sums",
+                            lambda *args: np.roll(true_block_sums(*args), 1))
+        failed = [r.name for r in run_validation() if not r.passed]
+        assert "orthogonal_chi_square" in failed
 
     def test_far_field_rule_has_one_source(self, monkeypatch):
         # the check's pose filter and the kernels' warning both move with
@@ -714,17 +739,17 @@ class TestValidateMutationDetection:
         out = tmp_path / "validate.csv"
         assert main(["validate", "--out", str(out)]) == EXIT_VALIDATION_FAILURE
         rows = self.validate_rows(out)
-        assert len(rows) == 16
+        assert len(rows) == 15
         passed, detail = rows["pdf_normalization"]
         assert passed == "False" and "IntegrationWarning" in detail
 
     def test_unconverged_quadrature_is_a_failed_row(self, tmp_path):
         # at 1e-14 the chi-square oracle's poses need more than the
-        # quadrature's last order; the other 15 checks pass
+        # quadrature's last order; the other 14 checks pass
         out = tmp_path / "validate.csv"
         assert main(["validate", "--tol", "1e-14", "--out", str(out)]) == 1
         rows = self.validate_rows(out)
-        assert len(rows) == 16
+        assert len(rows) == 15
         assert [name for name, (passed, _) in rows.items() if passed != "True"] \
             == ["orthogonal_chi_square"]
         assert "QuadratureError" in rows["orthogonal_chi_square"][1]
@@ -734,9 +759,9 @@ class TestValidateMutationDetection:
         # swapped turns into the upper bound and breaks the ordering
         from fso_geoloss import geoloss as geoloss_mod
 
-        true_lower = geoloss_mod.bound_lower
-        monkeypatch.setattr(geoloss_mod, "bound_lower", geoloss_mod.bound_upper)
-        monkeypatch.setattr(geoloss_mod, "bound_upper", true_lower)
+        true_bound = geoloss_mod._bound
+        monkeypatch.setattr(geoloss_mod, "_bound", lambda f, a, rel_tol, upper:
+                            true_bound(f, a, rel_tol, not upper))
         results = {r.name: r for r in run_validation()}
         assert not results["bound_ordering"].passed
         rc = main(["validate", "--out", "/dev/null"])

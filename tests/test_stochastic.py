@@ -183,6 +183,18 @@ class TestHoytParams:
         hp = hoyt_params(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert (hp.lambda1, hp.lambda2) == pytest.approx((3.0, 1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("diag", [(1e6, 1e-6), (1.0, 1e-9)], ids=["1e6-1e-6", "1-1e-9"])
+    def test_eccentric_lambda2_to_1e_15(self, diag):
+        # mean - disc cancels here: it gave 7.6e-6 and 2.7e-8 relative error
+        hp = hoyt_params(np.diag(diag))
+        assert hp.lambda2 == pytest.approx(diag[1], rel=1e-15, abs=0.0)
+
+    def test_equal_eigenvalues_do_not_pass_each_other(self):
+        # det / lambda1 rounds to an ulp above lambda1 at 0.1; q stays 1
+        assert 0.1 * 0.1 / 0.1 > 0.1
+        hp = hoyt_params(np.diag([0.1, 0.1]))
+        assert (hp.lambda1, hp.lambda2, hp.q) == (0.1, 0.1, 1.0)
+
     def test_psd_accepted_and_indefinite_rejected(self):
         hp = hoyt_params(np.array([[1.0, 0.5], [0.5, 1.0]]))
         assert (hp.lambda1, hp.lambda2) == pytest.approx((1.5, 0.5), rel=1e-14)
