@@ -26,7 +26,7 @@ from .beam import (
 )
 from .geometry import Pose
 from .geometry import footprint_center  # unused here; perfbench's tracing.TARGETS hooks geoloss.footprint_center
-from .numerics import BLOCK, disk_quadrature, quadratic_basis
+from .numerics import disk_quadrature, gaussian_integrand
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -66,15 +66,15 @@ class ApproxParams:
 
 @dataclass(frozen=True)
 class ChannelInputs:
-    """Externally supplied channel factors: responsivity eta, deterministic
-    path loss hp in (0, 1], turbulence loss ha >= 0."""
+    """Externally supplied channel factors: finite responsivity eta >= 0,
+    deterministic path loss hp in (0, 1], finite turbulence loss ha >= 0."""
 
     eta: float
     hp: float
     ha: float
 
     def __post_init__(self):
-        if self.eta < 0 or not 0.0 < self.hp <= 1.0 or self.ha < 0:
+        if not (0.0 <= self.eta < math.inf and 0.0 < self.hp <= 1.0 and 0.0 <= self.ha < math.inf):
             raise ValueError(f"invalid channel inputs: {self}")
 
 
@@ -104,44 +104,17 @@ def _capture(f: _Form, a: float, rel_tol: float):
     """Form f's projected intensity 2 s / (pi w^2) exp(-2 (rho_y yt^2 + rho_z
     zt^2 + 2 rho_yz yt zt) / w^2), (yt, zt) = (y - fy, z - fz), integrated
     over the radius-`a` disk and clipped to [0, 1]: a float for a float form,
-    n losses for (n,) arrays, whose row blocks `disk_quadrature` streams.
-
-    The exponent, log prefactor included, is expanded into one coefficient
-    row per pose against `quadratic_basis`' (y^2, z^2, yz, y, z, 1, log w),
-    with a coefficient of 1 on log w, so each block is one matrix product
-    into a view of the call's one `BLOCK`-sized scratch (a doubled row too
-    long for it gets its own) and one in-place exp: the intensity times the
-    rule's weights that `disk_quadrature` sums.  A pose's bits do not depend
-    on its row: a lone row (the float path included) is doubled, as a 1-row
-    product takes BLAS's matrix-vector path, whose bits differ, and no
-    product has more than `BLOCK` elements, below BLAS's threading onset."""
+    n losses for (n,) arrays.  Its log, expanded into six coefficients of
+    (y^2, z^2, yz, y, z, 1) per pose, is what `numerics.gaussian_integrand` takes."""
     w2 = f.w * f.w
     c_y, c_z, c_yz = f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2, f.rho_yz * 4.0 / w2
     fy, fz = f.fy, f.fz
-    batch = isinstance(f.s, np.ndarray)
-    coef = (-c_y, -c_z, -c_yz, 2.0 * c_y * fy + c_yz * fz, 2.0 * c_z * fz + c_yz * fy,
-            np.log(f.s * 2.0 / (math.pi * w2))
-            - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz),
-            np.ones_like(f.s) if batch else 1.0)  # ones_like on a float costs ~3 us
-    coef = np.stack(coef, axis=-1) if batch else np.array((coef, coef))
-    scratch = np.empty(BLOCK)
-
-    def integrand(y, z, _w, rows=None):
-        c = coef if rows is None else coef[rows]
-        k = len(c) if batch else 1
-        if len(c) == 1:
-            c = np.concatenate((c, c))
-        size = len(c) * len(y)
-        v = (scratch[:size] if size <= BLOCK else np.empty(size)).reshape(len(c), len(y))
-        basis, step = quadratic_basis(len(y), a), BLOCK // len(c)
-        for s in range(0, len(y), step):
-            np.matmul(c, basis[:, s:s + step], out=v[:, s:s + step])
-        np.exp(v[:k], out=v[:k])
-        return v[:k] if batch else v[0]
-
-    if not batch:
-        return min(max(disk_quadrature(integrand, a, rel_tol), 0.0), 1.0)
-    return np.clip(disk_quadrature(integrand, a, rel_tol, len(f.s)), 0.0, 1.0)
+    coef = np.array((-c_y, -c_z, -c_yz, 2.0 * c_y * fy + c_yz * fz, 2.0 * c_z * fz + c_yz * fy,
+                     np.log(f.s * 2.0 / (math.pi * w2))
+                     - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz))).T  # (6,) or (n, 6)
+    if not isinstance(f.s, np.ndarray):
+        return min(max(disk_quadrature(gaussian_integrand(coef, a), a, rel_tol), 0.0), 1.0)
+    return np.clip(disk_quadrature(gaussian_integrand(coef, a), a, rel_tol, len(f.s)), 0.0, 1.0)
 
 
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,
@@ -221,8 +194,8 @@ def approx_mean(ap: ApproxParams) -> float:
 
 def channel_coefficient(c: ChannelInputs, hg: float) -> float:
     """Composite channel coefficient eta * hp * ha * hg."""
-    if hg < 0:
-        raise ValueError(f"geometric loss must be non-negative, got {hg!r}")
+    if not 0.0 <= hg < math.inf:
+        raise ValueError(f"geometric loss must be non-negative and finite, got {hg!r}")
     return c.eta * c.hp * c.ha * hg
 
 

@@ -49,9 +49,9 @@ class Orientation:
     phi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and 0.0 < self.phi < math.pi):
+            raise ValueError(f"theta must be finite and phi strictly inside (0, pi), got {self}")
         object.__setattr__(self, "theta", self.theta % TWO_PI)
-        if not 0.0 < self.phi < math.pi:
-            raise ValueError(f"phi must lie strictly inside (0, pi), got {self.phi!r}")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
-"""Disk quadrature and its nodes' quadratic basis.
+"""Disk quadrature, and the Gaussian integrand that the loss kernels sum.
 
-The model's special functions (erf, the scaled Bessel function i0e) come
-from `scipy.special`.  Everything here is pure and deterministic: identical
-inputs give bit-identical outputs, so results are reproducible across runs
-and across any parallel evaluation order.
+Each order's rule is built once, on the unit disk.  Everything here is pure
+and deterministic: identical inputs give bit-identical outputs, so results
+are reproducible across runs and across any parallel evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -23,34 +22,24 @@ class QuadratureError(RuntimeError):
         self.last_diff = last_diff
 
 
-@lru_cache(maxsize=32)
-def _polar_rule(order: int, radius: float):
-    """Tensor Gauss-Legendre nodes/weights on the radius-`radius` disk.
-
-    `order` radial points on [0, radius] and 2*order angular points on
-    [0, 2pi); the radial Jacobian r is folded into the weights.  Returns
-    flat (y, z, w) arrays.
-    """
+@cache
+def _polar_rule(order: int) -> np.ndarray:
+    """Tensor Gauss-Legendre rule on the unit disk, rows (y, z, w) of a (3,
+    2 order^2) array: `order` radial points on [0, 1] times 2*order angles
+    on [0, 2pi), the radial Jacobian r folded into the weights."""
     xr, wr = np.polynomial.legendre.leggauss(order)
-    r = 0.5 * radius * (xr + 1.0)
-    wr = 0.5 * radius * wr * r
     xt, wt = np.polynomial.legendre.leggauss(2 * order)
-    t = math.pi * (xt + 1.0)
-    wt = math.pi * wt
-    y = np.multiply.outer(r, np.cos(t)).ravel()
-    z = np.multiply.outer(r, np.sin(t)).ravel()
-    w = np.multiply.outer(wr, wt).ravel()
-    return y, z, w
+    r, t = 0.5 * (xr + 1.0), math.pi * (xt + 1.0)
+    return np.stack((np.outer(r, np.cos(t)), np.outer(r, np.sin(t)),
+                     np.outer(0.5 * wr * r, math.pi * wt))).reshape(3, -1)
 
 
-@lru_cache(maxsize=32)
-def quadratic_basis(nodes: int, radius: float):
-    """Rows (y^2, z^2, yz, y, z, 1, log w) at the nodes of `_polar_rule`'s
-    `nodes`-node rule (order sqrt(nodes / 2)) on the radius-`radius` disk,
-    a (7, nodes) array.  A Gaussian's exponent, its coefficients in that
-    order with a 1 for log w, is one matrix product with it, and the exp of
-    that is the Gaussian times the rule's weights (all positive)."""
-    y, z, w = _polar_rule(math.isqrt(nodes // 2), radius)
+@cache
+def quadratic_basis(nodes: int) -> np.ndarray:
+    """Rows (y^2, z^2, yz, y, z, 1, log w), a (7, nodes) array, of the
+    `nodes`-node unit-disk rule (order sqrt(nodes / 2)): a Gaussian's
+    exponent plus log w is one matrix product with it."""
+    y, z, w = _polar_rule(math.isqrt(nodes // 2))
     return np.stack((y * y, z * z, y * z, y, z, np.ones_like(y), np.log(w)))
 
 
@@ -75,11 +64,48 @@ def _block_sums(f, y, z, w, n: int):
     return est
 
 
-def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
-    """Integrate an integrand over the disk y^2 + z^2 <= radius^2 (radius > 0).
+def gaussian_integrand(coef, radius: float):
+    """The f(y, z, w[, rows]) that `disk_quadrature(f, radius[, n=n])` sums for
+    exp(c0 y^2 + c1 z^2 + c2 yz + c3 y + c4 z + c5), c `coef`'s (6,) row or each
+    of its (n, 6) rows: rescaled to the unit disk (2 log(radius) in c5) with a 1
+    on log w, a block is one product with `quadratic_basis` into a `BLOCK`-sized
+    scratch (a longer doubled row gets its own) and one in-place exp.  A row's
+    bits do not depend on its position: a lone row is doubled (a 1-row product
+    takes BLAS's matrix-vector path) and no product exceeds `BLOCK` elements."""
+    coef = np.asarray(coef, float)
+    batch = coef.ndim == 2
+    a2 = radius * radius
+    # one allocation for the scratch and the rows (a second large one per call cost the
+    # Fig-5 workload 5% on 2 vCPU), filled a coefficient at a time: rows of 6 are slow
+    buf = np.empty(BLOCK + 7 * (len(coef) if batch else 2))  # a (6,) row is doubled
+    scratch, unit = buf[:BLOCK], buf[BLOCK:].reshape(-1, 7)
+    unit[:, 6] = 1.0
+    np.multiply(coef.T.reshape(6, -1), np.array((a2, a2, a2, radius, radius, 1.0))[:, None],
+                out=unit.T[:6])
+    unit[:, 5] += 2.0 * math.log(radius)
 
-    f(y, z, w) takes equal-shape 1-D node and weight arrays and returns the
-    integrand there times w, so the estimate is the sum of what f returns.
+    def integrand(y, _z, _w, rows=slice(None)):
+        c = unit[rows]
+        k = len(c) if batch else 1
+        if len(c) == 1:
+            c = np.concatenate((c, c))
+        size = len(c) * len(y)
+        v = (scratch[:size] if size <= BLOCK else np.empty(size)).reshape(len(c), len(y))
+        basis, step = quadratic_basis(len(y)), BLOCK // len(c)
+        for s in range(0, len(y), step):
+            np.matmul(c, basis[:, s:s + step], out=v[:, s:s + step])
+        np.exp(v[:k], out=v[:k])
+        return v[:k] if batch else v[0]
+
+    return integrand
+
+
+def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
+    """Integrate an integrand over the disk y^2 + z^2 <= radius^2 (0 < radius < inf).
+
+    f(y, z, w) takes equal-shape 1-D node and weight arrays, a unit-disk rule
+    scaled to the disk, and returns the integrand there times w, so the
+    estimate is the sum of what f returns.
     Successive doubled-order estimates must agree to `rel_tol` in relative
     terms, or to 1e-13 of the gross mass integral(|f|) (with a tiny
     absolute floor), so an integral cancelling to far below eps times its
@@ -98,19 +124,20 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
     Returns a float, or n estimates.  Raises QuadratureError if doubling the
     order `_MAX_LEVEL` times leaves an integrand unconverged.
     """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
 
+    scale = np.array(((radius,), (radius,), (radius * radius,)))
     prev, done = None, np.zeros(n or 0, bool)
     for level in range(_MAX_LEVEL + 1):
-        y, z, w = _polar_rule(_BASE_ORDER << level, radius)
+        y, z, w = _polar_rule(_BASE_ORDER << level) * scale
         # the sums are ufunc reductions, not BLAS: bit-identical under
         # concurrent callers (an integrand's BLAS products answer for their own bits)
         if n is None:
             vals = np.asarray(f(y, z, w))
-            est = np.sum(vals, axis=-1)
+            est = np.add.reduce(vals, axis=-1)
         else:
             est = _block_sums(f, y, z, w, n)
         if prev is not None:
@@ -118,7 +145,7 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
             rel = rel_tol * np.abs(est)
             if n is None:
                 if diff <= rel + 1e-300 or diff <= np.maximum(
-                        rel, 1e-13 * np.sum(np.abs(vals), axis=-1)) + 1e-300:
+                        rel, 1e-13 * np.add.reduce(np.abs(vals), axis=-1)) + 1e-300:
                     return float(est)
             else:
                 # a converged row keeps its estimate from the order it converged at

@@ -731,8 +731,13 @@ class TestChannelComposition:
             ChannelInputs(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             ChannelInputs(1.0, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            channel_coefficient(ChannelInputs(1.0, 1.0, 1.0), -0.1)
+        # each would make the composite coefficient nan or infinite
+        for eta, ha in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                ChannelInputs(eta, 1.0, ha)
+        for hg in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                channel_coefficient(ChannelInputs(1.0, 1.0, 1.0), hg)
 
 
 class TestLossDb:

@@ -31,6 +31,12 @@ class TestOrientation:
         with pytest.raises(ValueError):
             Orientation(0.0, math.pi)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_is_rejected(self, theta):
+        # inf % 2 pi is nan, which no kernel can evaluate
+        with pytest.raises(ValueError, match="theta must be finite"):
+            Orientation(theta, 1.0)
+
 
 class TestDirection:
     def test_along_x(self):

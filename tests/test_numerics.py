@@ -10,6 +10,7 @@ from fso_geoloss.numerics import (
     _block_sums,
     _polar_rule,
     disk_quadrature,
+    gaussian_integrand,
 )
 
 
@@ -81,9 +82,12 @@ class TestBesselI0:
             assert x + math.log(i0e(x)) >= 0.0
 
 
+RADII = [0.01, 0.1, 0.37, 3.0, 100.0]
+
+
 class TestDiskQuadrature:
-    def test_constant_gives_area(self):
-        radius = 0.37
+    @pytest.mark.parametrize("radius", RADII)
+    def test_constant_gives_area(self, radius):
         val = disk_quadrature(lambda y, z, w: w, radius)
         assert val == pytest.approx(math.pi * radius**2, rel=1e-12)
 
@@ -91,13 +95,34 @@ class TestDiskQuadrature:
         val = disk_quadrature(lambda y, z, w: y * w, 1.3)
         assert abs(val) < 1e-12
 
-    def test_centered_gaussian_closed_form(self):
-        w, a = 0.4934910867329322, 0.1
+    @pytest.mark.parametrize("a", RADII)
+    def test_centered_gaussian_closed_form(self, a):
+        w = 0.4934910867329322
         val = disk_quadrature(
             lambda y, z, wt: 2.0 / (math.pi * w * w)
             * np.exp(-2.0 * (y * y + z * z) / (w * w)) * wt,
             a)
         assert val == pytest.approx(1.0 - math.exp(-2.0 * a * a / (w * w)), rel=1e-10)
+        # the same Gaussian from its exponent's coefficients, alone and batched
+        coef = (-2.0 / (w * w), -2.0 / (w * w), 0.0, 0.0, 0.0, math.log(2.0 / (math.pi * w * w)))
+        assert disk_quadrature(gaussian_integrand(coef, a), a) == pytest.approx(val, rel=1e-10)
+        assert disk_quadrature(gaussian_integrand([coef] * 3, a), a, n=3) == pytest.approx(
+            [val] * 3, rel=1e-10)
+
+    def test_rule_is_built_once_per_order_whatever_the_radius(self, monkeypatch):
+        # the rule is cached on the unit disk, so a sweep of radii builds no more rules
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda deg: calls.append(deg) or leggauss(deg))
+        counts = []
+        for radii in ([0.37], [0.01, 0.37, 3.0]):
+            _polar_rule.cache_clear()
+            calls.clear()
+            for radius in radii:
+                disk_quadrature(lambda y, z, w: w, radius)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_rotation_invariance(self):
         rel_tol = 1e-9
@@ -132,14 +157,16 @@ class TestDiskQuadrature:
         assert disk_quadrature(f, 0.9) == disk_quadrature(f, 0.9)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            disk_quadrature(lambda y, z, w: y * w, -1.0)
+        # an infinite radius would scale every node and weight to inf
+        for radius in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                disk_quadrature(lambda y, z, w: y * w, radius)
         with pytest.raises(ValueError):
             disk_quadrature(lambda y, z, w: y * w, 1.0, rel_tol=2.0)
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_row_blocked_sums_are_bitwise_whole_array_sums(self, order):
-        y, z, w = _polar_rule(order, 0.1)
+        y, z, w = _polar_rule(order)
         rows = max(1, BLOCK // w.size)
         rng = np.random.default_rng(order)
         for n in {1, rows - 1, rows, rows + 1, 5 * rows + 3} - {0}:
@@ -182,7 +209,7 @@ class TestDiskQuadrature:
         both = disk_quadrature(f, radius, n=2)
         alone = [disk_quadrature(lambda y, z, w, i=i: f(y, z, w, slice(i, i + 1))[0],
                                  radius) for i in range(2)]
-        at16 = [np.sum(f(*_polar_rule(16, radius), slice(i, i + 1))) for i in range(2)]
+        at16 = [np.sum(f(*_polar_rule(16), slice(i, i + 1))) for i in range(2)]
         assert both.tolist() == alone
         assert both[0] == at16[0] and both[1] != at16[1]
 
