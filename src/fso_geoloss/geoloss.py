@@ -137,8 +137,11 @@ def bound_lower(p: Pose, b: BeamParams, d: DetectorParams,
     """Contour major axis across the offset: `exact_loss` at the un-rotated
     pose theta = 0, phi = psi placed at (t sin psi, u, t cos psi), with
     t = sqrt(L^2 - u^2) for p's incidence angle psi, distance L and offset
-    u.  Not ordered against `bound_upper` once a is comparable to w (they
-    cross at a = 0.6 m, w = 0.49 m)."""
+    u.  bound_lower <= exact_loss <= bound_upper holds, to 2 rel_tol, for
+    tracked poses at 1 km (alpha within pi/3, beta within pi/6 of pi/2,
+    offsets up to 3a) while a/w <= 1.  It first fails at a/w = 1.0016, at
+    small offsets; of `validate`'s 150 such poses, on one at a/w = 1.043
+    and on 19 at a/w = 1.2."""
     return _bound(_pose_form(*_coords(p), b, d.a), d.a, rel_tol, upper=False)
 
 

@@ -102,8 +102,7 @@ class Histogram:
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker-thread count: explicit argument, else the env cap, else 1.
-    An env value below 1 is an error, not a request for one thread (an
-    explicit one fails in the executor)."""
+    A count below 1 is an error, not a request for one thread."""
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "1")
         try:
@@ -112,6 +111,8 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = 0  # as invalid as a count below 1
         if threads < 1:
             raise ThreadsEnvError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    elif threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     return threads
 
 
@@ -216,19 +217,21 @@ def run_trials(plan: TrialPlan, threads: int | None = None):
     """Run the plan; returns (samples, LossStats).
 
     `threads` parallelizes chunk evaluation only, in chunks of min(CHUNK,
-    ceil(n / threads)) trials; output is bit-identical for any thread count.
+    ceil(n / threads)) trials, on no more threads than there are chunks or
+    CPUs; output is bit-identical for any thread count.
     """
     n = plan.n_trials
     samples = np.empty(n)
     degenerate = 0
     workers = resolve_threads(threads)
-    pool = _pool(workers)  # before the division: a count below 1 fails here
     size = min(CHUNK, -(-n // workers))
+    starts = range(0, n, size)
 
     def work(start: int):
         return start, _chunk_losses(plan, start, min(size, n - start))
 
-    for start, (losses, bad) in pool.map(work, range(0, n, size)):
+    pool = _pool(min(workers, len(starts), os.cpu_count() or 1))
+    for start, (losses, bad) in pool.map(work, starts):
         samples[start:start + len(losses)] = losses
         degenerate += bad
 

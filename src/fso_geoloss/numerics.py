@@ -55,7 +55,7 @@ def _block_sums(f, y, z, w, n: int):
     """Row sums of the n weighted rows that f(y, z, w, rows) yields
     `BLOCK // len(y)` (at least one) at a time, one L2-sized block per call,
     each the same pairwise ufunc sum as over a whole array.  The rows are
-    non-negative, so each sum is also its row's gross mass."""
+    non-negative, as every integrand is, so one test accepts each sum."""
     est = np.empty(n)
     step = max(1, BLOCK // len(y))
     for s in range(0, n, step):
@@ -66,60 +66,57 @@ def _block_sums(f, y, z, w, n: int):
 
 def gaussian_integrand(coef, radius: float):
     """The f(y, z, w[, rows]) that `disk_quadrature(f, radius[, n=n])` sums for
-    exp(c0 y^2 + c1 z^2 + c2 yz + c3 y + c4 z + c5), c `coef`'s (6,) row or each
-    of its (n, 6) rows: rescaled to the unit disk (2 log(radius) in c5) with a 1
-    on log w, a block is one product with `quadratic_basis` into a `BLOCK`-sized
-    scratch (a longer doubled row gets its own) and one in-place exp.  A row's
-    bits do not depend on its position: a lone row is doubled (a 1-row product
-    takes BLAS's matrix-vector path) and no product exceeds `BLOCK` elements."""
-    coef = np.asarray(coef, float)
-    batch = coef.ndim == 2
+    exp(c0 y^2 + c1 z^2 + c2 yz + c3 y + c4 z + c5), c each of `coef`'s (n, 6)
+    rows (a (6,) row is one), always as a (rows, nodes) block: rescaled to the
+    unit disk (2 log(radius) in c5) with a 1 on log w, a block is one product
+    with `quadratic_basis` into a `BLOCK`-sized scratch (a longer doubled row
+    gets its own) and one in-place exp.  A row's bits do not depend on its
+    position: a lone row is doubled (a 1-row product takes BLAS's
+    matrix-vector path) and no product exceeds `BLOCK` elements."""
+    cols = np.asarray(coef, float).T.reshape(6, -1)  # (6, n), n = 1 for a (6,) row
     a2 = radius * radius
     # one allocation for the scratch and the rows (a second large one per call cost the
     # Fig-5 workload 5% on 2 vCPU), filled a coefficient at a time: rows of 6 are slow
-    buf = np.empty(BLOCK + 7 * (len(coef) if batch else 2))  # a (6,) row is doubled
+    buf = np.empty(BLOCK + 7 * cols.shape[1])
     scratch, unit = buf[:BLOCK], buf[BLOCK:].reshape(-1, 7)
     unit[:, 6] = 1.0
-    np.multiply(coef.T.reshape(6, -1), np.array((a2, a2, a2, radius, radius, 1.0))[:, None],
-                out=unit.T[:6])
+    np.multiply(cols, np.array((a2, a2, a2, radius, radius, 1.0))[:, None], out=unit.T[:6])
     unit[:, 5] += 2.0 * math.log(radius)
 
     def integrand(y, _z, _w, rows=slice(None)):
         c = unit[rows]
-        k = len(c) if batch else 1
-        if len(c) == 1:
-            c = np.concatenate((c, c))
+        k = len(c)
+        if k == 1:
+            c = c.repeat(2, 0)
         size = len(c) * len(y)
         v = (scratch[:size] if size <= BLOCK else np.empty(size)).reshape(len(c), len(y))
         basis, step = quadratic_basis(len(y)), BLOCK // len(c)
         for s in range(0, len(y), step):
             np.matmul(c, basis[:, s:s + step], out=v[:, s:s + step])
-        np.exp(v[:k], out=v[:k])
-        return v[:k] if batch else v[0]
+        return np.exp(v[:k], out=v[:k])
 
     return integrand
 
 
 def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
-    """Integrate an integrand over the disk y^2 + z^2 <= radius^2 (0 < radius < inf).
+    """Integrate a non-negative integrand over the disk y^2 + z^2 <= radius^2
+    (0 < radius < inf).
 
     f(y, z, w) takes equal-shape 1-D node and weight arrays, a unit-disk rule
-    scaled to the disk, and returns the integrand there times w, so the
-    estimate is the sum of what f returns.
-    Successive doubled-order estimates must agree to `rel_tol` in relative
-    terms, or to 1e-13 of the gross mass integral(|f|) (with a tiny
-    absolute floor), so an integral cancelling to far below eps times its
-    gross mass is resolved only to that rounding floor.  The gross mass is
-    summed only when the relative test fails, which changes no decision.
+    scaled to the disk, and returns the integrand there times w, as a
+    (nodes,) or (1, nodes) array, so the estimate is the sum of what f
+    returns.  With `n`, f(y, z, w, rows) returns integrands `rows` (a slice
+    of range(n)), times w, as a (rows, len(y)) block, summed while in cache
+    before the next call, so f may reuse one scratch buffer and no (n,
+    nodes) array exists.
 
-    With `n`, f(y, z, w, rows) returns non-negative integrands `rows` (a
-    slice of range(n)), times w, as a (rows, len(y)) block, summed while in
-    cache before the next call, so f may reuse one scratch buffer and no
-    (n, nodes) array exists.  A non-negative row is its own gross mass, so
-    its floor is 1e-13 of its estimate, and a cancelling row raises.  Each
-    of the n integrands keeps the estimate of the first order at which its
-    own estimates agree: every row is evaluated at every order until all
-    have, so a row's value does not depend on the other rows of its batch.
+    One test accepts an integrand and each row alike: successive
+    doubled-order estimates must agree to max(rel_tol, 1e-13) of the latest
+    (with a tiny absolute floor), so an integrand that cancels to about
+    zero raises.  Each of the n integrands keeps the estimate of the first
+    order at which its own estimates agree: every row is evaluated at every
+    order until all have, so a row's value does not depend on the other
+    rows of its batch.
 
     Returns a float, or n estimates.  Raises QuadratureError if doubling the
     order `_MAX_LEVEL` times leaves an integrand unconverged.
@@ -129,28 +126,24 @@ def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = Non
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
 
+    # fl(t * x) rises with t for x >= 0, so this is max(rel_tol |est|, 1e-13 |est|) bitwise
+    tol = max(rel_tol, 1e-13)
     scale = np.array(((radius,), (radius,), (radius * radius,)))
     prev, done = None, np.zeros(n or 0, bool)
     for level in range(_MAX_LEVEL + 1):
         y, z, w = _polar_rule(_BASE_ORDER << level) * scale
         # the sums are ufunc reductions, not BLAS: bit-identical under
         # concurrent callers (an integrand's BLAS products answer for their own bits)
-        if n is None:
-            vals = np.asarray(f(y, z, w))
-            est = np.add.reduce(vals, axis=-1)
-        else:
-            est = _block_sums(f, y, z, w, n)
+        est = np.add.reduce(f(y, z, w), axis=None) if n is None else _block_sums(f, y, z, w, n)
         if prev is not None:
             diff = np.abs(est - prev)
-            rel = rel_tol * np.abs(est)
+            agree = diff <= tol * np.abs(est) + 1e-300
             if n is None:
-                if diff <= rel + 1e-300 or diff <= np.maximum(
-                        rel, 1e-13 * np.add.reduce(np.abs(vals), axis=-1)) + 1e-300:
+                if agree:
                     return float(est)
             else:
                 # a converged row keeps its estimate from the order it converged at
-                est, done = np.where(done, prev, est), done | (
-                    diff <= np.maximum(rel, 1e-13 * np.abs(est)) + 1e-300)
+                est, done = np.where(done, prev, est), done | agree
                 if done.all():
                     return est
         prev = est

@@ -532,6 +532,23 @@ class TestProperties:
         tol = geoloss_mod.DEFAULT_REL_TOL
         assert all(b <= a * (1.0 + tol) for a, b in zip(losses, losses[1:]))
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(a_w=st.floats(0.01, 0.9), alpha=st.floats(-math.pi / 3, math.pi / 3),
+           beta=st.floats(math.pi / 3, 2 * math.pi / 3), u_a=st.floats(0.0, 3.0),
+           ang=st.floats(0.0, 2 * math.pi))
+    def test_bounds_bracket_the_exact_loss_while_a_is_below_w(self, a_w, alpha, beta, u_a,
+                                                                ang):
+        # validate's bound_ordering sampling (tracked poses at 1 km, offsets up to
+        # 3a) at any a/w up to 0.9: the ordering was seen to fail first at
+        # a/w = 1.0016 over that sampling, at small offsets
+        a = a_w * _WIDTH
+        pose = tracked_pose(1000.0, alpha, beta, u_a * a * math.cos(ang),
+                            u_a * a * math.sin(ang))
+        det = DetectorParams(a)
+        exact, slack = exact_loss(pose, BEAM, det), 2.0 * geoloss_mod.DEFAULT_REL_TOL
+        assert bound_lower(pose, BEAM, det) - exact <= slack
+        assert exact - bound_upper(pose, BEAM, det) <= slack
+
 
 class TestBatchKernels:
     def test_exact_batch_matches_scalar(self):

@@ -81,6 +81,23 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(plan_for(n=10), threads=threads)
 
+    @pytest.mark.parametrize("n, threads, cpus, workers", [
+        (64, 10**6, 1000, 64), (10**5, 10**5, 3, 3), (10, 2, 1000, 2), (1, 8, 1000, 1)])
+    def test_pool_has_no_more_threads_than_chunks_or_cpus(self, monkeypatch, n, threads,
+                                                           cpus, workers):
+        # a serial stand-in for the executor records its size and starts no thread
+        sizes = []
+
+        class Serial:
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo, "_pool", lambda w: sizes.append(w) or Serial())
+        monkeypatch.setattr(montecarlo, "_chunk_losses",
+                            lambda plan, start, count: (np.full(count, 0.5), 0))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        samples, _ = run_trials(plan_for(n=n), threads=threads)
+        assert sizes == [workers] and samples.tolist() == [0.5] * n
+
     def test_trials_match_per_trial_streams(self):
         plan = plan_for(n=40, sigma_p=0.01, sigma_o=1e-4, kernel="exact")
         samples, _ = run_trials(plan)

@@ -92,8 +92,11 @@ class TestDiskQuadrature:
         assert val == pytest.approx(math.pi * radius**2, rel=1e-12)
 
     def test_odd_integrand_vanishes(self):
-        val = disk_quadrature(lambda y, z, w: y * w, 1.3)
-        assert abs(val) < 1e-12
+        # the rule is symmetric, so an odd integrand sums to 0; with the floor
+        # at 1e-13 of the estimate it cannot converge, and raises with that 0
+        with pytest.raises(QuadratureError) as err:
+            disk_quadrature(lambda y, z, w: y * w, 1.3)
+        assert abs(err.value.best_estimate) < 1e-12
 
     @pytest.mark.parametrize("a", RADII)
     def test_centered_gaussian_closed_form(self, a):
@@ -181,10 +184,9 @@ class TestDiskQuadrature:
             assert est.tobytes() == np.sum(vals * w, axis=-1).tobytes()
 
     def test_cancelling_row_raises_in_a_batch(self):
-        # the batched path takes its rows to be non-negative, so a row's floor
-        # is 1e-13 of its own estimate; the y row integrates to 0 and never
-        # meets it (the float path keeps the gross-mass floor, which
-        # test_odd_integrand_vanishes covers)
+        # integrands are taken to be non-negative, so a row's floor is 1e-13
+        # of its own estimate; the y row integrates to 0 and never meets it
+        # (test_odd_integrand_vanishes covers the float case)
         radius, rel_tol = 1.0, 1e-9
         s2 = np.array([[0.25], [1.0], [4.0]])
 
@@ -197,6 +199,14 @@ class TestDiskQuadrature:
         expected = [math.pi * v * (1.0 - math.exp(-radius**2 / v)) for v in s2[:, 0]]
         assert err.value.best_estimate.shape == (4,)
         assert err.value.best_estimate[1:] == pytest.approx(expected, rel=rel_tol)
+
+    def test_a_float_integrand_is_its_one_row_batch_bitwise(self):
+        # one acceptance test for both paths, so a float integrand, even a
+        # signed one, stops at the order its one-row batch stops at
+        f = lambda y, z, w: (np.exp(-(y * y + z * z) / 0.05) - 0.5) * w
+        alone = disk_quadrature(f, 1.0, 1e-13)
+        batch = disk_quadrature(lambda y, z, w, rows: f(y, z, w)[None], 1.0, 1e-13, n=1)
+        assert alone < 0.0 and [alone] == batch.tolist()
 
     def test_each_row_keeps_the_order_at_which_it_converged(self):
         # a wide Gaussian converges at order 16, an off-centre narrow one
