@@ -292,12 +292,15 @@ def cmd_bounds(cfg: ExperimentConfig):
             np.repeat([mu.rx for mu in means], m), ry, rz,
             np.repeat([o.theta for o in orients], m), np.repeat([o.phi for o in orients], m),
             b, det, cfg.rel_tol)
-    # the bounds are resolved to rel_tol; crossing within it is not counted
+    # the captures are resolved to rel_tol; crossing or escaping within it is not counted
     crossed = int(np.count_nonzero(cols.lower > cols.upper * (1.0 + cfg.rel_tol)))
+    outside = int(np.count_nonzero(
+        (cols.exact < np.minimum(cols.lower, cols.upper) * (1.0 - cfg.rel_tol))
+        | (cols.exact > np.maximum(cols.lower, cols.upper) * (1.0 + cfg.rel_tol))))
     crossed_approx = int(np.count_nonzero(cols.approx_lower > cols.approx_upper))
     rows = np.column_stack((np.repeat(cfg.sweep_values, m), np.tile(fy, len(means)),  # alpha-major
                             np.tile(fz, len(means)), loss_db(np.column_stack(cols)))).tolist()
-    return BOUNDS_COLUMNS, rows, {"crossed_bounds": crossed,
+    return BOUNDS_COLUMNS, rows, {"crossed_bounds": crossed, "exact_outside_bounds": outside,
                                   "crossed_approx_bounds": crossed_approx}
 
 
@@ -430,6 +433,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except (QuadratureError, mc.GofInconclusiveError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+    except Warning as e:  # raised as an error, as under python -W error
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     _emit(cfg, render_table(cfg, args.command, columns, rows, meta))
     if args.command == "validate" and meta.get("all_passed") != "True":

@@ -104,17 +104,13 @@ def _capture(f: _Form, a: float, rel_tol: float):
     """Form f's projected intensity 2 s / (pi w^2) exp(-2 (rho_y yt^2 + rho_z
     zt^2 + 2 rho_yz yt zt) / w^2), (yt, zt) = (y - fy, z - fz), integrated
     over the radius-`a` disk and clipped to [0, 1]: a float for a float form,
-    n losses for (n,) arrays.  Its log, expanded into six coefficients of
-    (y^2, z^2, yz, y, z, 1) per pose, is what `numerics.gaussian_integrand` takes."""
+    n losses for (n,) arrays."""
     w2 = f.w * f.w
-    c_y, c_z, c_yz = f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2, f.rho_yz * 4.0 / w2
-    fy, fz = f.fy, f.fz
-    coef = np.array((-c_y, -c_z, -c_yz, 2.0 * c_y * fy + c_yz * fz, 2.0 * c_z * fz + c_yz * fy,
-                     np.log(f.s * 2.0 / (math.pi * w2))
-                     - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz))).T  # (6,) or (n, 6)
+    g = gaussian_integrand(f.rho_y * 2.0 / w2, f.rho_z * 2.0 / w2, f.rho_yz * 4.0 / w2,
+                           f.fy, f.fz, np.log(f.s * 2.0 / (math.pi * w2)), a)
     if not isinstance(f.s, np.ndarray):
-        return min(max(disk_quadrature(gaussian_integrand(coef, a), a, rel_tol), 0.0), 1.0)
-    return np.clip(disk_quadrature(gaussian_integrand(coef, a), a, rel_tol, len(f.s)), 0.0, 1.0)
+        return min(max(disk_quadrature(g, a, rel_tol), 0.0), 1.0)
+    return np.clip(disk_quadrature(g, a, rel_tol, len(f.s)), 0.0, 1.0)
 
 
 def exact_loss(p: Pose, b: BeamParams, d: DetectorParams,

@@ -64,23 +64,26 @@ def _block_sums(f, y, z, w, n: int):
     return est
 
 
-def gaussian_integrand(coef, radius: float):
+def gaussian_integrand(c_y, c_z, c_yz, fy, fz, log_c, radius: float):
     """The f(y, z, w[, rows]) that `disk_quadrature(f, radius[, n=n])` sums for
-    exp(c0 y^2 + c1 z^2 + c2 yz + c3 y + c4 z + c5), c each of `coef`'s (n, 6)
-    rows (a (6,) row is one), always as a (rows, nodes) block: rescaled to the
-    unit disk (2 log(radius) in c5) with a 1 on log w, a block is one product
-    with `quadratic_basis` into a `BLOCK`-sized scratch (a longer doubled row
-    gets its own) and one in-place exp.  A row's bits do not depend on its
-    position: a lone row is doubled (a 1-row product takes BLAS's
-    matrix-vector path) and no product exceeds `BLOCK` elements."""
-    cols = np.asarray(coef, float).T.reshape(6, -1)  # (6, n), n = 1 for a (6,) row
+    exp(log_c - (c_y yt^2 + c_z zt^2 + c_yz yt zt)), (yt, zt) = (y - fy, z - fz),
+    one Gaussian for floats, n for (n,) arrays (c_y, c_z, c_yz (n,) if any is),
+    always as a (rows, nodes) block: expanded onto `quadratic_basis`' rows and
+    rescaled to the unit disk with a 1 on log w, a block is one product with
+    the basis into a `BLOCK`-sized scratch (a longer doubled row gets its own)
+    and one in-place exp.  A row's bits do not depend on its position: a lone
+    row is doubled (a 1-row product takes BLAS's matrix-vector path) and no
+    product exceeds `BLOCK` elements."""
+    # the rows' coefficients, the quadratic ones' sign on their scale: (-c) a^2 is -(c a^2)
+    terms = np.array((c_y, c_z, c_yz, 2.0 * c_y * fy + c_yz * fz, 2.0 * c_z * fz + c_yz * fy,
+                      log_c - (c_y * fy * fy + c_z * fz * fz + c_yz * fy * fz))).T  # (6,) or (n, 6)
     a2 = radius * radius
     # one allocation for the scratch and the rows (a second large one per call cost the
-    # Fig-5 workload 5% on 2 vCPU), filled a coefficient at a time: rows of 6 are slow
-    buf = np.empty(BLOCK + 7 * cols.shape[1])
+    # Fig-5 workload 5% on 2 vCPU), filled by one broadcast product: rows of 6 are slow
+    buf = np.empty(BLOCK + terms.size // 6 * 7)
     scratch, unit = buf[:BLOCK], buf[BLOCK:].reshape(-1, 7)
     unit[:, 6] = 1.0
-    np.multiply(cols, np.array((a2, a2, a2, radius, radius, 1.0))[:, None], out=unit.T[:6])
+    np.multiply(terms, (-a2, -a2, -a2, radius, radius, 1.0), out=unit[:, :6])
     unit[:, 5] += 2.0 * math.log(radius)
 
     def integrand(y, _z, _w, rows=slice(None)):

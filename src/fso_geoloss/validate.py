@@ -284,21 +284,26 @@ def check_linearization_convergence(rel_tol: float) -> CheckResult:
 
 
 def check_approx_bracket(rel_tol: float) -> CheckResult:
-    # A0 = erf(nu_min) erf(nu_max), against the C library's erf, which
-    # shares no code with scipy's
-    ok = True
-    worst, worst_a0 = 0.0, 0.0
-    for rx, ry, rz, theta, phi in _bound_ordering_poses(40, seed=12).T.tolist():
+    # the scalar closed forms and the tables' (`bounds_batch`'s columns) must
+    # bracket the mean, and Fig 4's kernel, `approx_mean_batch`, must give each
+    # pose's scalar `approx_mean` bitwise.  A0 = erf(nu_min) erf(nu_max), against
+    # the C library's erf, which shares no code with scipy's
+    poses = _bound_ordering_poses(40, seed=12)
+    scalar, worst_a0 = [], 0.0
+    for rx, ry, rz, theta, phi in poses.T.tolist():
         pose = geometry.Pose(geometry.Position(rx, ry, rz), geometry.Orientation(theta, phi))
         ap = geoloss_mod.approx_params(pose, DEFAULT_BEAM, DEFAULT_DETECTOR)
-        low, upp = geoloss_mod.approx_bounds(ap)
-        mean = geoloss_mod.approx_mean(ap)
-        worst = max(worst, low - mean, mean - upp)
-        ok = ok and low <= mean <= upp
+        scalar.append((*geoloss_mod.approx_bounds(ap), geoloss_mod.approx_mean(ap)))
         worst_a0 = max(worst_a0, abs(ap.a0 / (math.erf(ap.nu_min) * math.erf(ap.nu_max)) - 1.0))
-    return CheckResult("approx_bracket", ok and worst_a0 <= 1e-13,
-                       f"max bracket violation {worst:.2e}, max a0 rel err "
-                       f"{worst_a0:.2e} (tol 1e-13)")
+    low, upp, mean = np.array(scalar).T
+    c = geoloss_mod.bounds_batch(*poses, DEFAULT_BEAM, DEFAULT_DETECTOR, rel_tol)
+    worst = float(np.max((low - mean, mean - upp, c.approx_lower - c.approx_mean,
+                          c.approx_mean - c.approx_upper), initial=0.0))
+    off = int(np.count_nonzero(
+        geoloss_mod.approx_mean_batch(*poses, DEFAULT_BEAM, DEFAULT_DETECTOR) != mean))
+    return CheckResult("approx_bracket", worst <= 0.0 and off == 0 and worst_a0 <= 1e-13,
+                       f"max bracket violation {worst:.2e}, {off} batch means off the "
+                       f"scalar, max a0 rel err {worst_a0:.2e} (tol 1e-13)")
 
 
 def check_hoyt_sampling_power(rel_tol: float) -> CheckResult:

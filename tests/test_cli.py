@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -527,15 +528,16 @@ class TestMain:
         assert capsys.readouterr().err == (
             "config error: output.path must not be empty ('-' is stdout)\n")
 
-    @pytest.mark.parametrize("text, crossed", [
+    @pytest.mark.parametrize("text, crossed, outside", [
         # the README pose, a = 0.6 m against w = 0.49 m: the offset row crosses,
-        # the centred row's bounds differ by 6e-16 relative and do not count
+        # and its exact capture exceeds both bounds by 4e-5 relative; the
+        # centred row's bounds differ by 6e-16 relative and do not count
         (f"sweep.values = {math.pi / 4!r}\ndetector.radius_m = 0.6\n"
-         "bounds.offsets_m = 0.1:0.1;0:0\n", 1),
-        (None, 0),  # the seed-0 benchmark grid, a = 0.1 m
+         "bounds.offsets_m = 0.1:0.1;0:0\n", 1, 1),
+        (None, 0, 0),  # the seed-0 benchmark grid, a = 0.1 m
     ], ids=["readme-pose", "bounds-table-seed-0"])
     def test_bounds_meta_counts_crossed_rows(self, tmp_path, monkeypatch, capsys, text,
-                                             crossed):
+                                             crossed, outside):
         if text is None:
             monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
             text = importlib.import_module("workloads").config_text("bounds-table", 0)
@@ -546,6 +548,21 @@ class TestMain:
                      "--format", "json"]) == EXIT_OK
         meta = json.loads(out.read_text())["meta"]
         assert (meta["crossed_bounds"], meta["crossed_approx_bounds"]) == (crossed, crossed)
+        assert meta["exact_outside_bounds"] == outside
+
+    def test_warning_raised_as_error_is_a_numerical_failure(self, tmp_path, capsys):
+        # under python -W error the far-field warning of a 5 m link once
+        # escaped main as a traceback and exit 1, the validation-failure code
+        cfgfile = tmp_path / "near.cfg"
+        cfgfile.write_text("geometry.R_m = 5\n")
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bounds", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == cli.EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: UserWarning: far-field") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_thread_env_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "avg.cfg"
@@ -709,6 +726,31 @@ class TestValidateMutationDetection:
         true_erf = geoloss_mod.erf
         monkeypatch.setattr(geoloss_mod, "erf", lambda x: true_erf(x) * (1.0 + 1e-12))
         assert not check_approx_bracket(geoloss_mod.DEFAULT_REL_TOL).passed
+
+    def test_swapped_closed_form_columns_fail_the_approx_bracket(self, monkeypatch):
+        # the tables' closed-form lower and upper columns swapped, while the
+        # scalar closed forms stay right: only approx_bracket reads them
+        from fso_geoloss import geoloss as geoloss_mod
+
+        true_bounds = geoloss_mod.bounds_batch
+
+        def swapped(*args):
+            c = true_bounds(*args)
+            return c._replace(approx_lower=c.approx_upper, approx_upper=c.approx_lower)
+
+        monkeypatch.setattr(geoloss_mod, "bounds_batch", swapped)
+        assert [r.name for r in run_validation() if not r.passed] == ["approx_bracket"]
+
+    def test_fig4_kernel_at_k_min_fails_the_approx_bracket(self, monkeypatch):
+        # Fig 4's closed-form kernel evaluated at k_min, not k_mean
+        from fso_geoloss import geoloss as geoloss_mod
+
+        def at_k_min(rx, ry, rz, theta, phi, b, d):
+            ap = geoloss_mod._approx(geoloss_mod._pose_form(rx, ry, rz, theta, phi, b, d.a), d.a)
+            return geoloss_mod._closed_form(ap, ap.k_min)
+
+        monkeypatch.setattr(geoloss_mod, "approx_mean_batch", at_k_min)
+        assert [r.name for r in run_validation() if not r.passed] == ["approx_bracket"]
 
     @pytest.mark.parametrize("check", ["check_cdf_matches_density",
                                        "check_rayleigh_reduction"])

@@ -106,10 +106,12 @@ class TestDiskQuadrature:
             * np.exp(-2.0 * (y * y + z * z) / (w * w)) * wt,
             a)
         assert val == pytest.approx(1.0 - math.exp(-2.0 * a * a / (w * w)), rel=1e-10)
-        # the same Gaussian from its exponent's coefficients, alone and batched
-        coef = (-2.0 / (w * w), -2.0 / (w * w), 0.0, 0.0, 0.0, math.log(2.0 / (math.pi * w * w)))
-        assert disk_quadrature(gaussian_integrand(coef, a), a) == pytest.approx(val, rel=1e-10)
-        assert disk_quadrature(gaussian_integrand([coef] * 3, a), a, n=3) == pytest.approx(
+        # the same Gaussian from its quadratic form, centre and log prefactor,
+        # alone and batched
+        gauss = (2.0 / (w * w), 2.0 / (w * w), 0.0, 0.0, 0.0, math.log(2.0 / (math.pi * w * w)))
+        assert disk_quadrature(gaussian_integrand(*gauss, a), a) == pytest.approx(val, rel=1e-10)
+        batch = (np.full(3, v) for v in gauss)
+        assert disk_quadrature(gaussian_integrand(*batch, a), a, n=3) == pytest.approx(
             [val] * 3, rel=1e-10)
 
     def test_rule_is_built_once_per_order_whatever_the_radius(self, monkeypatch):
