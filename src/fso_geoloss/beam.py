@@ -51,8 +51,7 @@ class EllipseParams:
 
     rho_y, rho_z, rho_yz define the exponent quadratic form; rho_min and
     rho_max are the inverse squared-axis coefficients of the contour
-    ellipse (rho_min <= rho_max); psi is the incidence angle and
-    contour_rotation the counterclockwise tilt of the contour axes.
+    ellipse (rho_min <= rho_max); psi is the incidence angle.
     """
 
     rho_y: float
@@ -61,7 +60,6 @@ class EllipseParams:
     rho_min: float
     rho_max: float
     psi: float
-    contour_rotation: float
 
 
 def coherence_length(b: BeamParams, distance: float) -> float:
@@ -124,10 +122,6 @@ def ellipse_params(o: Orientation) -> EllipseParams:
     rho_y, rho_z, rho_yz = ellipse_coefficients(o.theta, o.phi)
     s, _ = incidence_sine(o.theta, o.phi)
     rho_min, rho_max = ellipse_axes(rho_y, rho_z, rho_yz, s * s)
-    if rho_yz == 0.0:
-        rotation = 0.0
-    else:
-        rotation = 0.5 * math.atan2(2.0 * rho_yz, rho_y - rho_z)
     return EllipseParams(
         rho_y=float(rho_y),
         rho_z=float(rho_z),
@@ -135,7 +129,6 @@ def ellipse_params(o: Orientation) -> EllipseParams:
         rho_min=float(rho_min),
         rho_max=float(rho_max),
         psi=psi,
-        contour_rotation=rotation,
     )
 
 

@@ -28,7 +28,7 @@ from . import stochastic
 from .beam import BeamParams
 from .geometry import spherical_mean_position, tracking_orientation
 from .geoloss import DetectorParams, loss_db
-from .numerics import QuadratureError
+from .numerics import DEFAULT_REL_TOL, QuadratureError
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ class ExperimentConfig:
     pdf_n_bins: int = _key("pdf.n_bins", 0, int, str)  # 0 -> Sturges rule
     n_trials: int = _key("mc.n_trials", 100_000, int, str)
     seed: int = _key("mc.seed", 1234, int, str)
-    rel_tol: float = _key("quadrature.rel_tol", 1e-9)
+    rel_tol: float = _key("quadrature.rel_tol", DEFAULT_REL_TOL)
     output_path: str = _key("output.path", "-", str, str)
     output_format: str = _key("output.format", "csv", str, str, ("csv", "json"))
 

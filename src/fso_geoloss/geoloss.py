@@ -26,9 +26,7 @@ from .beam import (
 )
 from .geometry import Pose
 from .geometry import footprint_center  # unused here; perfbench's tracing.TARGETS hooks geoloss.footprint_center
-from .numerics import disk_quadrature, gaussian_integrand
-
-DEFAULT_REL_TOL = 1e-9
+from .numerics import DEFAULT_REL_TOL, disk_quadrature, gaussian_integrand
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ class Orientation:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and 0.0 < self.phi < math.pi):
             raise ValueError(f"theta must be finite and phi strictly inside (0, pi), got {self}")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
+        # theta just below 0 wraps to 2*pi exactly; the second % maps that to 0
+        object.__setattr__(self, "theta", self.theta % TWO_PI % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,8 @@ def tracking_orientation(mu_r: Position) -> Orientation:
     """
     if mu_r.rx == 0.0:
         raise DegenerateGeometryError("tracking orientation undefined for mu_x = 0")
-    theta = math.atan2(mu_r.ry, mu_r.rx) % TWO_PI
     phi = math.atan2(math.hypot(mu_r.rx, mu_r.ry), mu_r.rz)
-    return Orientation(theta, phi)
+    return Orientation(math.atan2(mu_r.ry, mu_r.rx), phi)  # Orientation wraps theta
 
 
 def spherical_mean_position(radius: float, alpha: float, beta: float) -> Position:

@@ -100,19 +100,16 @@ class Histogram:
     overflow: int = 0
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread count: explicit argument, else the env cap, else 1.
-    A count below 1 is an error, not a request for one thread."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0  # as invalid as a count below 1
-        if threads < 1:
-            raise ThreadsEnvError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    elif threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+def resolve_threads() -> int:
+    """Worker-thread count from `THREADS_ENV`, 1 when it is unset.  A count
+    below 1 is an error, not a request for one thread."""
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0  # as invalid as a count below 1
+    if threads < 1:
+        raise ThreadsEnvError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return threads
 
 
@@ -153,7 +150,8 @@ def _chunk_poses(d: PoseDistribution, seed: int, start: int, count: int):
     where that exceeds pi, (theta, phi) <- (theta + pi, 2*pi - phi).  A
     trial with phi in (0, pi) keeps its bits."""
     eps = _chunk_eps(seed, start, count, d.sigmas())
-    theta = (d.mu_omega.theta + eps[:, 3]) % TWO_PI
+    # a sum just below 0 wraps to 2*pi exactly; the second % maps that to 0
+    theta = (d.mu_omega.theta + eps[:, 3]) % TWO_PI % TWO_PI
     phi = (d.mu_omega.phi + eps[:, 4]) % TWO_PI
     past = phi > math.pi
     phi[past], theta[past] = TWO_PI - phi[past], (theta[past] + math.pi) % TWO_PI
@@ -213,17 +211,18 @@ def _chunk_losses(plan: TrialPlan, start: int, count: int):
     return losses, count - len(sel)
 
 
-def run_trials(plan: TrialPlan, threads: int | None = None):
+def run_trials(plan: TrialPlan):
     """Run the plan; returns (samples, LossStats).
 
-    `threads` parallelizes chunk evaluation only, in chunks of min(CHUNK,
+    Each call reads its thread count from `THREADS_ENV` (`resolve_threads`),
+    which parallelizes chunk evaluation only, in chunks of min(CHUNK,
     ceil(n / threads)) trials, on no more threads than there are chunks or
     CPUs; output is bit-identical for any thread count.
     """
     n = plan.n_trials
     samples = np.empty(n)
     degenerate = 0
-    workers = resolve_threads(threads)
+    workers = resolve_threads()
     size = min(CHUNK, -(-n // workers))
     starts = range(0, n, size)
 

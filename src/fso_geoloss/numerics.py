@@ -12,6 +12,9 @@ from functools import cache
 
 import numpy as np
 
+# the relative tolerance every capture, table and check uses unless told otherwise
+DEFAULT_REL_TOL = 1e-9
+
 
 class QuadratureError(RuntimeError):
     """Disk quadrature failed to converge; carries the best estimate."""
@@ -101,7 +104,7 @@ def gaussian_integrand(c_y, c_z, c_yz, fy, fz, log_c, radius: float):
     return integrand
 
 
-def disk_quadrature(f, radius: float, rel_tol: float = 1e-9, n: int | None = None):
+def disk_quadrature(f, radius: float, rel_tol: float = DEFAULT_REL_TOL, n: int | None = None):
     """Integrate a non-negative integrand over the disk y^2 + z^2 <= radius^2
     (0 < radius < inf).
 

@@ -164,9 +164,9 @@ def _bound_ordering_poses(n: int, seed: int = 11) -> np.ndarray:
     return np.array(poses).T
 
 
-def check_bound_ordering(rel_tol: float, n: int = 150) -> CheckResult:
+def check_bound_ordering(rel_tol: float) -> CheckResult:
     slack = 2.0 * rel_tol
-    c = geoloss_mod.bounds_batch(*_bound_ordering_poses(n), DEFAULT_BEAM,
+    c = geoloss_mod.bounds_batch(*_bound_ordering_poses(150), DEFAULT_BEAM,
                                  DEFAULT_DETECTOR, rel_tol)
     worst = float(np.max(np.maximum(c.lower - c.exact, c.exact - c.upper)))
     return CheckResult("bound_ordering", worst <= slack,

@@ -95,7 +95,6 @@ class TestEllipseParams:
         ep = ellipse_params(Orientation(0.0, math.pi / 2))
         assert (ep.rho_y, ep.rho_z, ep.rho_yz) == pytest.approx((1.0, 1.0, 0.0))
         assert (ep.rho_min, ep.rho_max) == pytest.approx((1.0, 1.0))
-        assert ep.contour_rotation == 0.0
 
     def test_diagonal_incidence(self):
         ep = ellipse_params(Orientation(math.pi / 4, math.pi / 2))
@@ -120,12 +119,6 @@ class TestEllipseParams:
                 ep.rho_y + ep.rho_z, rel=1e-12)
             assert ep.rho_min <= 1.0 + 1e-12 <= ep.rho_max + 2e-12
             assert 0.0 <= ep.rho_y <= 1.0 and 0.0 <= ep.rho_z <= 1.0
-
-    def test_contour_rotation_convention(self):
-        ep = ellipse_params(Orientation(0.5, 2.0))
-        expected = 0.5 * math.atan2(2 * ep.rho_yz, ep.rho_y - ep.rho_z)
-        assert ep.contour_rotation == pytest.approx(expected)
-        assert ellipse_params(Orientation(0.0, 1.1)).contour_rotation == 0.0
 
 
 class TestIntensityOnPd:

@@ -452,6 +452,20 @@ class TestValidateTolerancePlumbing:
         assert [type(r.passed) for r in results] == [bool] * len(results)
         json.dumps([r.passed for r in results])
 
+    def test_default_rel_tol_has_one_source(self):
+        import inspect
+
+        from fso_geoloss import geoloss as geoloss_mod
+        from fso_geoloss import numerics
+
+        # `is`, not ==: a default written out again as 1e-9 is a second source
+        defaults = [inspect.signature(fn).parameters["rel_tol"].default for fn in (
+            numerics.disk_quadrature, geoloss_mod.exact_loss, geoloss_mod.bound_lower,
+            geoloss_mod.bound_upper, geoloss_mod.exact_loss_batch, geoloss_mod.bounds_batch,
+            mc.TrialPlan, run_validation)]
+        for default in defaults + [ExperimentConfig().rel_tol]:
+            assert default is numerics.DEFAULT_REL_TOL
+
 
 class TestMain:
     def test_bounds_to_file(self, tmp_path, capsys):

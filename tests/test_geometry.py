@@ -24,6 +24,8 @@ class TestOrientation:
     def test_theta_wraps(self):
         assert Orientation(2.5 * math.pi, 1.0).theta == pytest.approx(0.5 * math.pi)
         assert Orientation(-0.5, 1.0).theta == pytest.approx(2 * math.pi - 0.5)
+        # a float % rounds 2*pi - 1e-17 up to 2*pi, outside [0, 2*pi)
+        assert Orientation(-1e-17, 1.0).theta == 0.0
 
     def test_phi_bounds(self):
         with pytest.raises(ValueError):

@@ -69,17 +69,20 @@ class TestRunTrials:
     # at 1 mrad every chunk converges at polar order 32, so each worker
     # thread streams `BLOCK // 2048`-row blocks through its own call's scratch
     @pytest.mark.parametrize("sigma_o", [2e-4, 1e-3])
-    def test_parallelism_invariance(self, sigma_o):
+    def test_parallelism_invariance(self, monkeypatch, sigma_o):
         plan = plan_for(n=3 * CHUNK + 17, sigma_o=sigma_o)
-        s1, st1 = run_trials(plan, threads=1)
-        s8, st8 = run_trials(plan, threads=8)
+        monkeypatch.setenv(montecarlo.THREADS_ENV, "1")
+        s1, st1 = run_trials(plan)
+        monkeypatch.setenv(montecarlo.THREADS_ENV, "8")
+        s8, st8 = run_trials(plan)
         assert np.array_equal(s1, s8)
         assert st1 == st8
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_below_one_is_rejected(self, threads):
-        with pytest.raises(ValueError):
-            run_trials(plan_for(n=10), threads=threads)
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_is_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv(montecarlo.THREADS_ENV, threads)
+        with pytest.raises(montecarlo.ThreadsEnvError):
+            run_trials(plan_for(n=10))
 
     @pytest.mark.parametrize("n, threads, cpus, workers", [
         (64, 10**6, 1000, 64), (10**5, 10**5, 3, 3), (10, 2, 1000, 2), (1, 8, 1000, 1)])
@@ -95,7 +98,8 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "_chunk_losses",
                             lambda plan, start, count: (np.full(count, 0.5), 0))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        samples, _ = run_trials(plan_for(n=n), threads=threads)
+        monkeypatch.setenv(montecarlo.THREADS_ENV, str(threads))
+        samples, _ = run_trials(plan_for(n=n))
         assert sizes == [workers] and samples.tolist() == [0.5] * n
 
     def test_trials_match_per_trial_streams(self):
@@ -118,7 +122,8 @@ class TestRunTrials:
             return np.zeros(count), 0
 
         monkeypatch.setattr(montecarlo, "_chunk_losses", spy)
-        run_trials(plan_for(n=n), threads=threads)
+        monkeypatch.setenv(montecarlo.THREADS_ENV, str(threads))
+        run_trials(plan_for(n=n))
         starts, counts = zip(*sorted(chunks))
         # chunks of min(CHUNK, ceil(n / threads)) trials: 2 * CHUNK trials on
         # 8 threads make 8 chunks, not 2
@@ -246,6 +251,14 @@ class TestPoseGenerator:
         mean = (d.mu_r.rx, d.mu_r.ry, d.mu_r.rz, d.mu_omega.theta, d.mu_omega.phi)
         for col, m in zip(_chunk_poses(d, 3, CHUNK - 2, 5), mean):
             assert col.tobytes() == np.full(5, m).tobytes()
+
+    def test_theta_jitter_just_below_zero_wraps_to_zero(self, monkeypatch):
+        # at mean theta 0, a sum in (-4e-16, 0) would wrap to 2*pi exactly
+        d = plan_for(sigma_o=1e-4).distribution
+        assert d.mu_omega.theta == 0.0
+        monkeypatch.setattr(montecarlo, "_chunk_eps",
+                            lambda seed, start, count, sigmas: np.array([[0, 0, 0, -1e-20, 0.0]]))
+        assert _chunk_poses(d, 0, 0, 1)[3].tolist() == [0.0]
 
     @pytest.mark.parametrize("index_type", [np.int64, np.uint64])
     def test_numpy_integer_index_is_the_int_index(self, index_type):
